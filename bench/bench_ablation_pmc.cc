@@ -1,5 +1,5 @@
 // Ablation (ours): the two candidate-generation modes of the Bouchitté–
-// Todinca PMC enumeration (DESIGN.md §2.2). The default restricts the
+// Todinca PMC enumeration. The default restricts the
 // S ∪ (T ∩ C) case to separators T containing the newly inserted vertex;
 // `exhaustive_pairs` iterates all pairs. Both are validated equal in the
 // test suite; this bench quantifies the speed difference, which grows with

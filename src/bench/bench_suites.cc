@@ -7,7 +7,6 @@
 
 #include "cost/cost_model_registry.h"
 #include "cost/standard_costs.h"
-#include "enumeration/ranked_forest.h"
 #include "enumeration/tiered_enum.h"
 #include "parallel/thread_pool.h"
 #include "pmc/potential_maximal_cliques.h"
@@ -121,6 +120,14 @@ ContextOptions MakeContextOptions(const SuiteContext& ctx, double budget) {
   return options;
 }
 
+// The enum, ranked and appcost suites measure the exact ranked product over
+// the connected components: no Tier 0, no shared budget, no fallback.
+TierOptions ExactTierOptions() {
+  TierOptions tier_options;
+  tier_options.mode = TierOptions::Mode::kExact;
+  return tier_options;
+}
+
 BenchEntry RunEnum(const SuiteContext& ctx,
                    const workloads::DatasetFamily& family,
                    const workloads::DatasetGraph& dg) {
@@ -130,8 +137,8 @@ BenchEntry RunEnum(const SuiteContext& ctx,
   ContextOptions options = MakeContextOptions(ctx, budget);
   WidthCost cost;
   WallTimer timer;
-  RankedForestEnumerator enumerator(dg.graph, cost, CostComposition::kMax,
-                                    options);
+  TieredEnumerator enumerator(dg.graph, cost, CostComposition::kMax, options,
+                              SolverOptions{}, ExactTierOptions());
   e.init_seconds = enumerator.init_seconds();
   if (!enumerator.init_ok()) {
     FinishEntry(&e, 0, timer.Seconds(),
@@ -176,8 +183,8 @@ BenchEntry RunRanked(const SuiteContext& ctx,
   solver_options.use_candidate_index = solver == "indexed";
   WidthCost cost;
   WallTimer timer;
-  RankedForestEnumerator enumerator(dg.graph, cost, CostComposition::kMax,
-                                    options, solver_options);
+  TieredEnumerator enumerator(dg.graph, cost, CostComposition::kMax, options,
+                              solver_options, ExactTierOptions());
   e.init_seconds = enumerator.init_seconds();
   if (!enumerator.init_ok()) {
     FinishEntry(&e, 0, timer.Seconds(),
@@ -332,8 +339,9 @@ BenchEntry RunAppCost(const SuiteContext& ctx, const AppCostCase& acase) {
   const double budget = EnumBudget() * ctx.budget_factor;
   ContextOptions options = MakeContextOptions(ctx, budget);
   WallTimer timer;
-  RankedForestEnumerator enumerator(acase.instance.graph, *model->cost,
-                                    model->composition, options);
+  TieredEnumerator enumerator(acase.instance.graph, *model->cost,
+                              model->composition, options, SolverOptions{},
+                              ExactTierOptions());
   e.init_seconds = enumerator.init_seconds();
   if (!enumerator.init_ok()) {
     FinishEntry(&e, 0, timer.Seconds(),

@@ -59,7 +59,10 @@ constexpr char kUsage[] =
     "  --bound=B          width bound (MinTriangB contexts)\n"
     "  --format=summary|td   per-result line, or PACE .td blocks\n"
     "  --input=gr|hg|uai  stdin format                  (default gr)\n"
-    "  --time-limit=SEC   initialization budget in seconds (default 30)\n"
+    "  --time-limit=SEC   per-stage initialization budget: the MinSep and\n"
+    "                     PMC enumeration limits of every context build\n"
+    "                     (default 30); under --tier=auto also the exact\n"
+    "                     budget that all atoms share\n"
     "  --threads=N        worker threads for the separator/PMC enumeration\n"
     "                     during initialization (default 1 = serial)\n"
     "  --solver=indexed|scan  repair engine for the incremental DP: the\n"

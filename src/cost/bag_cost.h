@@ -17,6 +17,11 @@ using CostValue = double;
 inline constexpr CostValue kInfiniteCost =
     std::numeric_limits<CostValue>::infinity();
 
+/// How a bag cost composes across independently triangulated pieces
+/// (connected components, clique-separator atoms). Width-like costs compose
+/// by max; fill-like and sum-of-bag-weight costs compose by sum.
+enum class CostComposition { kMax, kSum };
+
 /// Inputs to BagCost::Combine — the cost of the sub-decomposition obtained
 /// by placing bag `omega` above the already-solved children blocks of the
 /// dynamic program (Section 5 of the paper, Equation (1)):
@@ -62,8 +67,8 @@ class BagCost {
   virtual CostValue Evaluate(const Graph& g,
                              const std::vector<VertexSet>& bags) const = 0;
 
-  /// Vertex-identity adapter for relabeled subgraphs. The ranked-forest
-  /// layer triangulates each connected component as an induced subgraph
+  /// Vertex-identity adapter for relabeled subgraphs. The tiered enumerator
+  /// triangulates each unit (component or atom) as an induced subgraph
   /// with vertices renumbered 0..k-1, so costs whose bag scores depend on
   /// vertex *identity* (hypergraph edge covers, per-vertex domain sizes,
   /// weighted fill) would otherwise score the wrong vertices. Returns a

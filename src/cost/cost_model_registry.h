@@ -7,8 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "cost/bag_cost.h"
 #include "cost/bag_score_cache.h"
-#include "enumeration/ranked_forest.h"
 #include "hypergraph/hypergraph.h"
 #include "inference/model_io.h"
 

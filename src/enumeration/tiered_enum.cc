@@ -1,6 +1,7 @@
 #include "enumeration/tiered_enum.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <utility>
 
@@ -33,23 +34,26 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
                                    const SolverOptions& solver_options,
                                    const TierOptions& tier_options)
     : g_(g), cost_(cost), composition_(composition) {
-  if (tier_options.mode == TierOptions::Mode::kExact) {
-    forest_ = std::make_unique<RankedForestEnumerator>(
-        g, cost, composition, options, solver_options);
-    return;
-  }
-
+  // Exact mode: the units are the connected components, and only the
+  // per-stage ContextOptions limits apply (no shared budget to clip to).
+  const bool exact = tier_options.mode == TierOptions::Mode::kExact;
   WallTimer budget_timer;
+  auto remaining_budget = [&] {
+    return exact ? std::numeric_limits<double>::infinity()
+                 : tier_options.exact_budget_seconds - budget_timer.Seconds();
+  };
   for (const VertexSet& comp_vertices : g.ConnectedComponents()) {
     std::vector<int> comp_old_of_new(comp_vertices.Count());
     int next = 0;
     comp_vertices.ForEach([&](int v) { comp_old_of_new[next++] = v; });
     Graph sub = g.InducedSubgraph(comp_vertices);
 
-    if (!tier_options.decomposable_cost) {
-      AddUnit(sub, std::move(comp_old_of_new), options, solver_options,
-              tier_options,
-              tier_options.exact_budget_seconds - budget_timer.Seconds());
+    if (exact || !tier_options.decomposable_cost) {
+      if (!AddUnit(sub, std::move(comp_old_of_new), options, solver_options,
+                   tier_options, remaining_budget())) {
+        init_ok_ = false;
+        return;
+      }
       continue;
     }
 
@@ -83,8 +87,7 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
         old_of_new[atom_old_to_new[v]] = comp_old_of_new[v];
       });
       AddUnit(asub, std::move(old_of_new), options, solver_options,
-              tier_options,
-              tier_options.exact_budget_seconds - budget_timer.Seconds());
+              tier_options, remaining_budget());
     }
   }
 
@@ -106,11 +109,7 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
     // Either the graph is empty (no results, matching the exact path) or
     // Tier 0 fully reduced it — the input is chordal and its unique minimal
     // triangulation is the graph itself: emit exactly one result.
-    if (g_.NumVertices() > 0) {
-      std::vector<size_t> none;
-      queue_.push({0, none});
-      enqueued_.insert(none);
-    }
+    if (g_.NumVertices() > 0) queue_.push({0, {}, 0});
     return;
   }
 
@@ -119,20 +118,19 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
   for (size_t c = 0; c < units_.size(); ++c) {
     if (!Materialize(static_cast<int>(c), 0)) feasible = false;
   }
-  if (feasible) {
-    queue_.push({Compose(first), first});
-    enqueued_.insert(first);
-  }
+  if (feasible) queue_.push({Compose(first), first, 0});
 }
 
-void TieredEnumerator::AddUnit(const Graph& sub, std::vector<int> old_of_new,
+bool TieredEnumerator::AddUnit(const Graph& sub, std::vector<int> old_of_new,
                                const ContextOptions& options,
                                const SolverOptions& solver_options,
                                const TierOptions& tier_options,
                                double remaining_budget) {
   Unit unit;
   unit.old_of_new = std::move(old_of_new);
-  // Same identity test as the forest layer: only the whole graph keeps the
+  // The unit subgraph renumbers vertices, so vertex-dependent costs
+  // (hypergraph edge covers, per-vertex domains, weighted fill) must be
+  // re-anchored to the original labels. Only the whole graph keeps the
   // shared cost unrestricted (a unit this large is the single component of a
   // connected, unreduced, unsplit graph).
   bool identity = sub.NumVertices() == g_.NumVertices();
@@ -141,7 +139,7 @@ void TieredEnumerator::AddUnit(const Graph& sub, std::vector<int> old_of_new,
   }
 
   bool built = false;
-  if (tier_options.mode == TierOptions::Mode::kAuto) {
+  if (tier_options.mode != TierOptions::Mode::kHeuristic) {
     if (remaining_budget > 0) {
       ContextOptions unit_options = options;
       unit_options.separator_limits.time_limit_seconds =
@@ -158,6 +156,8 @@ void TieredEnumerator::AddUnit(const Graph& sub, std::vector<int> old_of_new,
             std::make_unique<TriangulationContext>(std::move(*ctx));
         unit.tier = SolveTier::kExact;
         built = true;
+      } else if (tier_options.mode == TierOptions::Mode::kExact) {
+        return false;  // exact mode has no Tier 2 to fall back on
       }
     } else {
       // The shared exact budget ran out before this unit: a truthful
@@ -221,20 +221,16 @@ void TieredEnumerator::AddUnit(const Graph& sub, std::vector<int> old_of_new,
       unit.restricted_cost != nullptr ? *unit.restricted_cost : cost_,
       solver_options);
   units_.push_back(std::move(unit));
+  return true;
 }
 
 void TieredEnumerator::SetDeadline(const Deadline* deadline) {
-  if (forest_) {
-    forest_->SetDeadline(deadline);
-    return;
-  }
   for (Unit& unit : units_) {
     if (unit.enumerator != nullptr) unit.enumerator->SetDeadline(deadline);
   }
 }
 
 bool TieredEnumerator::truncated() const {
-  if (forest_) return forest_->truncated();
   for (const Unit& unit : units_) {
     if (unit.enumerator != nullptr && unit.enumerator->truncated()) {
       return true;
@@ -253,27 +249,22 @@ long long TieredEnumerator::SumOverUnits(
 }
 
 long long TieredEnumerator::num_optimizer_calls() const {
-  if (forest_) return forest_->num_optimizer_calls();
   return SumOverUnits(&RankedTriangulationEnumerator::num_optimizer_calls);
 }
 
 long long TieredEnumerator::num_candidate_evals() const {
-  if (forest_) return forest_->num_candidate_evals();
   return SumOverUnits(&RankedTriangulationEnumerator::num_candidate_evals);
 }
 
 long long TieredEnumerator::num_combine_calls() const {
-  if (forest_) return forest_->num_combine_calls();
   return SumOverUnits(&RankedTriangulationEnumerator::num_combine_calls);
 }
 
 long long TieredEnumerator::num_index_updates() const {
-  if (forest_) return forest_->num_index_updates();
   return SumOverUnits(&RankedTriangulationEnumerator::num_index_updates);
 }
 
 long long TieredEnumerator::num_range_queries() const {
-  if (forest_) return forest_->num_range_queries();
   return SumOverUnits(&RankedTriangulationEnumerator::num_range_queries);
 }
 
@@ -302,7 +293,7 @@ CostValue TieredEnumerator::Compose(const std::vector<size_t>& indices) const {
 Triangulation TieredEnumerator::Assemble(const std::vector<size_t>& indices) {
   if (!lifted_) {
     // No Tier-0 rewriting happened: the units are exactly the connected
-    // components, and this is byte-for-byte the forest assembly.
+    // components, and the clique tree is a forest with one root per unit.
     Triangulation out;
     out.filled = g_;
     const int n = g_.NumVertices();
@@ -354,23 +345,20 @@ Triangulation TieredEnumerator::Assemble(const std::vector<size_t>& indices) {
 }
 
 std::optional<TieredResult> TieredEnumerator::Next() {
-  if (forest_) {
-    auto t = forest_->Next();
-    if (!t.has_value()) return std::nullopt;
-    return TieredResult{std::move(*t), SolveTier::kExact};
-  }
   if (queue_.empty()) return std::nullopt;
   QueueEntry top = queue_.top();
   queue_.pop();
 
-  // Successors: bump one coordinate at a time.
-  for (size_t c = 0; c < top.indices.size(); ++c) {
+  // Successors: bump one coordinate c >= top.last at a time. A tuple's only
+  // parent is itself with its last nonzero coordinate decremented, so each
+  // tuple is pushed exactly once, after a parent that is no more expensive
+  // and lexicographically smaller.
+  for (size_t c = top.last; c < top.indices.size(); ++c) {
     std::vector<size_t> next_indices = top.indices;
     ++next_indices[c];
-    if (enqueued_.count(next_indices)) continue;
     if (!Materialize(static_cast<int>(c), next_indices[c])) continue;
-    queue_.push({Compose(next_indices), next_indices});
-    enqueued_.insert(std::move(next_indices));
+    CostValue cost = Compose(next_indices);
+    queue_.push({cost, std::move(next_indices), c});
   }
   return TieredResult{Assemble(top.indices), tier_};
 }

@@ -5,12 +5,11 @@
 #include <memory>
 #include <optional>
 #include <queue>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "cost/bag_cost.h"
-#include "enumeration/ranked_forest.h"
+#include "enumeration/ranked_enum.h"
 #include "preprocess/preprocess.h"
 
 namespace mintri {
@@ -39,7 +38,7 @@ bool IsTierDecomposableCost(const std::string& cost_name);
 
 struct TierOptions {
   enum class Mode {
-    kExact,      // the pre-tier pipeline, byte-for-byte
+    kExact,      // units = components, per-stage limits only, no Tier 2
     kAuto,       // try exact per atom, degrade to the heuristic family
     kHeuristic,  // skip exact attempts entirely
   };
@@ -49,14 +48,15 @@ struct TierOptions {
   /// the stream-safe reductions).
   PreprocessOptions preprocess;
 
-  /// Set by the caller per cost (see IsTierDecomposableCost). When false,
-  /// Tier 0 is skipped and the units are exactly the connected components.
+  /// Set by the caller per cost (see IsTierDecomposableCost). When false
+  /// (and always in Mode::kExact), Tier 0 is skipped and the units are
+  /// exactly the connected components.
   bool decomposable_cost = false;
 
-  /// Shared wall-clock budget across all per-unit *exact* build attempts
-  /// (Tier 1). Once spent, remaining units go straight to Tier 2 and are
-  /// tallied as ms-terminated attempts. Infinite disables the gate (each
-  /// build still honors the per-stage ContextOptions limits).
+  /// Mode::kAuto only: shared wall-clock budget across all per-unit *exact*
+  /// build attempts (Tier 1). Once spent, remaining units go straight to
+  /// Tier 2 and are tallied as ms-terminated attempts. Infinite disables the
+  /// gate (each build still honors the per-stage ContextOptions limits).
   double exact_budget_seconds = std::numeric_limits<double>::infinity();
 };
 
@@ -65,15 +65,27 @@ struct TieredResult {
   SolveTier tier;
 };
 
-/// The tiered solve pipeline: Tier 0 (simplicial reduction +
-/// clique-minimal-separator atom decomposition), Tier 1 (the existing exact
-/// ranked stack per atom, recombined into a global ranked stream through the
-/// same ranked-product machinery as RankedForestEnumerator), Tier 2
-/// (LB-Triang-seeded restricted-family enumeration when an atom exceeds its
-/// MinSep/PMC budget). Deterministic and byte-identical at every thread
-/// count; in Mode::kExact it delegates wholesale to RankedForestEnumerator,
-/// and in Mode::kAuto with no reduction/decomposition/fallback it replays
-/// that enumerator's stream byte-for-byte by construction.
+/// Ranked enumeration of minimal triangulations for an arbitrary (possibly
+/// disconnected) graph, through a tiered solve pipeline: Tier 0 (simplicial
+/// reduction + clique-minimal-separator atom decomposition), Tier 1 (the
+/// exact ranked stack per unit), Tier 2 (LB-Triang-seeded restricted-family
+/// enumeration when a unit exceeds its MinSep/PMC budget).
+///
+/// The units (connected components, or their atoms) are triangulated
+/// independently, so the global stream is the *ranked product* of the
+/// per-unit streams: a priority queue over index tuples (i_1, ..., i_k),
+/// lazily materializing each unit's ranked list. The composed cost is
+/// monotone in every coordinate (split-monotone bag costs are), so the
+/// product order is correct. A popped tuple only advances coordinates
+/// c >= the one that produced it, which gives every tuple exactly one
+/// parent and makes the stream duplicate-free without a seen-set (Tziavelis
+/// et al., "Optimal Algorithms for Ranked Enumeration of Answers to Full
+/// Conjunctive Queries", PVLDB 2020).
+///
+/// Mode::kExact is this product over the connected components alone.
+/// Mode::kAuto with no reduction/decomposition/fallback emits the same
+/// stream byte-for-byte. Deterministic and byte-identical at every thread
+/// count.
 class TieredEnumerator {
  public:
   TieredEnumerator(const Graph& g, const BagCost& cost,
@@ -82,9 +94,10 @@ class TieredEnumerator {
                    const SolverOptions& solver_options = {},
                    const TierOptions& tier_options = {});
 
-  /// Only false in Mode::kExact when a component's build hit its limits;
-  /// the auto/heuristic modes always have Tier 2 to fall back on.
-  bool init_ok() const { return forest_ ? forest_->init_ok() : true; }
+  /// Only false in Mode::kExact when a component's build hit its limits
+  /// (Next() then always returns std::nullopt); the auto/heuristic modes
+  /// always have Tier 2 to fall back on.
+  bool init_ok() const { return init_ok_; }
 
   /// Per-enumeration wall-clock budget, forwarded to every unit enumerator.
   void SetDeadline(const Deadline* deadline);
@@ -100,11 +113,11 @@ class TieredEnumerator {
 
   /// Aggregated build breakdown over every unit (exact attempts and
   /// heuristic family builds both count), including the per-atom termination
-  /// tallies and the folded-in Tier-0 counters.
-  const ContextBuildInfo& init_info() const {
-    return forest_ ? forest_->init_info() : init_info_;
-  }
-  double init_seconds() const { return init_info().total_seconds; }
+  /// tallies and the folded-in Tier-0 counters. On an exact-mode failure,
+  /// termination names the stage that gave up (the Fig. 5 "MS terminated" /
+  /// "PMC terminated" taxonomy).
+  const ContextBuildInfo& init_info() const { return init_info_; }
+  double init_seconds() const { return init_info_.total_seconds; }
 
   /// The truthful label of the stream (and of every result it emits).
   SolveTier tier() const { return tier_; }
@@ -114,11 +127,9 @@ class TieredEnumerator {
 
   /// Wall clock spent in per-unit *exact* context builds (successful and
   /// budget-terminated attempts alike).
-  double tier1_seconds() const {
-    return forest_ ? forest_->init_info().total_seconds : tier1_seconds_;
-  }
+  double tier1_seconds() const { return tier1_seconds_; }
   /// Wall clock spent building heuristic restricted-family contexts.
-  double tier2_seconds() const { return forest_ ? 0 : tier2_seconds_; }
+  double tier2_seconds() const { return tier2_seconds_; }
 
   /// The next-cheapest minimal triangulation (original vertex ids) with its
   /// tier label. Heuristic streams are non-decreasing in κ within the
@@ -138,7 +149,8 @@ class TieredEnumerator {
     SolveTier tier = SolveTier::kExact;
   };
 
-  void AddUnit(const Graph& sub, std::vector<int> old_of_new,
+  /// False only when an exact-mode build hit its limits.
+  bool AddUnit(const Graph& sub, std::vector<int> old_of_new,
                const ContextOptions& options,
                const SolverOptions& solver_options,
                const TierOptions& tier_options, double remaining_budget);
@@ -151,8 +163,7 @@ class TieredEnumerator {
   const Graph& g_;
   const BagCost& cost_;
   CostComposition composition_;
-  /// Mode::kExact delegate: the literal pre-tier enumerator.
-  std::unique_ptr<RankedForestEnumerator> forest_;
+  bool init_ok_ = true;
   /// True once Tier 0 changed the unit structure (eliminated a vertex or
   /// split a component); selects the lifting assembly path.
   bool lifted_ = false;
@@ -169,6 +180,8 @@ class TieredEnumerator {
   struct QueueEntry {
     CostValue cost;
     std::vector<size_t> indices;
+    size_t last;  // the coordinate advanced to reach `indices`
+    // Tuples are unique in the queue, so `last` never breaks a tie.
     bool operator>(const QueueEntry& other) const {
       if (cost != other.cost) return cost > other.cost;
       return indices > other.indices;
@@ -177,7 +190,6 @@ class TieredEnumerator {
   std::priority_queue<QueueEntry, std::vector<QueueEntry>,
                       std::greater<QueueEntry>>
       queue_;
-  std::set<std::vector<size_t>> enqueued_;
 };
 
 }  // namespace mintri

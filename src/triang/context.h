@@ -85,9 +85,9 @@ struct ContextBuildInfo {
     }
   }
 
-  /// Accumulates another build's stage times/counts (used by the ranked
-  /// forest layer, which builds one context per connected component). The
-  /// termination becomes the first non-completed stage seen.
+  /// Accumulates another build's stage times/counts (used by the tiered
+  /// enumerator, which builds one context per unit). The termination
+  /// becomes the first non-completed stage seen.
   void Accumulate(const ContextBuildInfo& other) {
     minsep_seconds += other.minsep_seconds;
     pmc_seconds += other.pmc_seconds;

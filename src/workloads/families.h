@@ -9,7 +9,7 @@
 namespace mintri {
 namespace workloads {
 
-/// One experiment graph: a dataset-family stand-in instance (DESIGN.md §3).
+/// One experiment graph: a dataset-family stand-in instance.
 struct DatasetGraph {
   std::string name;
   Graph graph;

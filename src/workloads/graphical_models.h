@@ -10,8 +10,7 @@ namespace workloads {
 
 /// Synthetic stand-ins for the PIC2011 probabilistic-graphical-model
 /// datasets of Section 7.1. Each generator targets the structural regime of
-/// its family (see DESIGN.md §3 for the substitution rationale); all are
-/// deterministic given the seed.
+/// its family; all are deterministic given the seed.
 
 /// Moral graph of a random DAG: each vertex v > 0 receives up to
 /// `max_parents` random earlier parents, then parents of a common child are

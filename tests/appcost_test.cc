@@ -13,12 +13,13 @@
 
 #include "cost/cost_model_registry.h"
 #include "enumeration/ckk.h"
-#include "enumeration/ranked_forest.h"
+#include "enumeration/tiered_enum.h"
 #include "enumeration/tree_decomposition.h"
 #include "hypergraph/edge_cover.h"
 #include "hypergraph/hypergraph_io.h"
 #include "inference/junction_tree.h"
 #include "inference/model_io.h"
+#include "test_util.h"
 #include "workloads/inference_models.h"
 #include "workloads/random_graphs.h"
 #include "workloads/tpch_queries.h"
@@ -47,16 +48,17 @@ std::vector<RankedResult> ExhaustRanked(const CostModelInstance& instance,
   std::optional<CostModel> model =
       MakeCostModel(cost_name, instance, enable_cache, &error);
   EXPECT_TRUE(model.has_value()) << error;
-  RankedForestEnumerator e(instance.graph, *model->cost, model->composition);
+  TieredEnumerator e(instance.graph, *model->cost, model->composition, {},
+                     {}, testutil::ExactTier());
   EXPECT_TRUE(e.init_ok());
   std::vector<RankedResult> out;
   CostValue last = -kInfiniteCost;
-  while (auto t = e.Next()) {
-    EXPECT_GE(t->cost, last - 1e-9) << "ranked order must be nondecreasing";
-    EXPECT_NEAR(t->cost, model->cost->Evaluate(instance.graph, t->bags),
-                1e-9);
-    last = t->cost;
-    out.push_back({t->FillEdgesSorted(instance.graph), t->cost});
+  while (auto r = e.Next()) {
+    const Triangulation& t = r->triangulation;
+    EXPECT_GE(t.cost, last - 1e-9) << "ranked order must be nondecreasing";
+    EXPECT_NEAR(t.cost, model->cost->Evaluate(instance.graph, t.bags), 1e-9);
+    last = t.cost;
+    out.push_back({t.FillEdgesSorted(instance.graph), t.cost});
   }
   return out;
 }
@@ -162,18 +164,18 @@ TEST(BagScoreCacheTest, CacheOnEqualsCacheOffAndHits) {
     ASSERT_NE(cached->cache, nullptr);
     EXPECT_EQ(uncached->cache, nullptr);
 
-    RankedForestEnumerator e1(instance.graph, *cached->cost,
-                              cached->composition);
-    RankedForestEnumerator e2(instance.graph, *uncached->cost,
-                              uncached->composition);
+    TieredEnumerator e1(instance.graph, *cached->cost, cached->composition,
+                        {}, {}, testutil::ExactTier());
+    TieredEnumerator e2(instance.graph, *uncached->cost,
+                        uncached->composition, {}, {}, testutil::ExactTier());
     while (true) {
-      auto t1 = e1.Next();
-      auto t2 = e2.Next();
-      ASSERT_EQ(t1.has_value(), t2.has_value());
-      if (!t1.has_value()) break;
-      EXPECT_EQ(t1->FillEdgesSorted(instance.graph),
-                t2->FillEdgesSorted(instance.graph));
-      EXPECT_NEAR(t1->cost, t2->cost, 1e-12);
+      auto r1 = e1.Next();
+      auto r2 = e2.Next();
+      ASSERT_EQ(r1.has_value(), r2.has_value());
+      if (!r1.has_value()) break;
+      EXPECT_EQ(r1->triangulation.FillEdgesSorted(instance.graph),
+                r2->triangulation.FillEdgesSorted(instance.graph));
+      EXPECT_NEAR(r1->triangulation.cost, r2->triangulation.cost, 1e-12);
     }
     const BagScoreCache::Stats stats = cached->cache->stats();
     EXPECT_GT(stats.lookups, 0);
@@ -215,8 +217,8 @@ TEST(EdgeCoverSentinelTest, RankedStackReportsInfinityNotMinusOne) {
   std::optional<CostModel> model =
       MakeCostModel("hypertree", instance, true, &error);
   ASSERT_TRUE(model.has_value()) << error;
-  RankedForestEnumerator e(instance.graph, *model->cost,
-                           model->composition);
+  TieredEnumerator e(instance.graph, *model->cost, model->composition, {},
+                     {}, testutil::ExactTier());
   ASSERT_TRUE(e.init_ok());
   // Every triangulation of the uncoverable component costs infinity, so the
   // DP finds no feasible solution and the ranked stream is empty. The old
@@ -238,18 +240,20 @@ TEST(StateSpaceCostTest, RegistryUsesModelDomains) {
   std::optional<CostModel> cm =
       MakeCostModel("state-space", instance, true, &error);
   ASSERT_TRUE(cm.has_value()) << error;
-  RankedForestEnumerator e(instance.graph, *cm->cost, cm->composition);
+  TieredEnumerator e(instance.graph, *cm->cost, cm->composition, {}, {},
+                     testutil::ExactTier());
   ASSERT_TRUE(e.init_ok());
-  auto t = e.Next();
-  ASSERT_TRUE(t.has_value());
+  auto r = e.Next();
+  ASSERT_TRUE(r.has_value());
+  const Triangulation& t = r->triangulation;
   TotalStateSpaceCost reference(model.DomainsAsWeights());
-  EXPECT_NEAR(t->cost, reference.Evaluate(instance.graph, t->bags), 1e-9);
+  EXPECT_NEAR(t.cost, reference.Evaluate(instance.graph, t.bags), 1e-9);
 
   JunctionTreeInference inference(model.domains, model.factors);
-  auto run = inference.Run(CliqueTreeOf(*t));
+  auto run = inference.Run(CliqueTreeOf(t));
   ASSERT_TRUE(run.has_value());
   EXPECT_FALSE(run->degenerate);
-  EXPECT_NEAR(run->total_table_entries, t->cost, 1e-9);
+  EXPECT_NEAR(run->total_table_entries, t.cost, 1e-9);
 }
 
 TEST(CostModelRegistryTest, ErrorsAreExplicit) {

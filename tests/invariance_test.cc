@@ -11,7 +11,7 @@
 #include <tuple>
 
 #include "cost/standard_costs.h"
-#include "enumeration/ranked_forest.h"
+#include "enumeration/tiered_enum.h"
 #include "pmc/potential_maximal_cliques.h"
 #include "separators/minimal_separators.h"
 #include "test_util.h"
@@ -86,7 +86,8 @@ TEST(OptimizationInvarianceTest, PaperExampleCountsUnchanged) {
   EXPECT_EQ(pmcs.pmcs.size(), 6u);
 
   WidthCost cost;
-  RankedForestEnumerator enumerator(g, cost, CostComposition::kMax);
+  TieredEnumerator enumerator(g, cost, CostComposition::kMax, {}, {},
+                              testutil::ExactTier());
   ASSERT_TRUE(enumerator.init_ok());
   int count = 0;
   while (enumerator.Next().has_value()) ++count;

@@ -11,7 +11,7 @@
 
 #include "chordal/chordality.h"
 #include "cost/standard_costs.h"
-#include "enumeration/ranked_forest.h"
+#include "enumeration/tiered_enum.h"
 #include "pmc/potential_maximal_cliques.h"
 #include "separators/minimal_separators.h"
 #include "test_util.h"
@@ -60,20 +60,22 @@ TEST(PaperExample, FullPipelineMatchesFigure1) {
   // triangulations, in nondecreasing cost order, and their fill sets match
   // the Parra-Scheffler brute force.
   WidthCost cost;
-  RankedForestEnumerator enumerator(g, cost, CostComposition::kMax);
+  TieredEnumerator enumerator(g, cost, CostComposition::kMax, {}, {},
+                              testutil::ExactTier());
   ASSERT_TRUE(enumerator.init_ok());
 
   std::set<testutil::FillSet> enumerated;
   CostValue last_cost = 0;
   int rank = 0;
-  while (auto t = enumerator.Next()) {
+  while (auto r = enumerator.Next()) {
+    const Triangulation& t = r->triangulation;
     ++rank;
     if (rank > 1) {
-      EXPECT_GE(t->cost, last_cost);
+      EXPECT_GE(t.cost, last_cost);
     }
-    last_cost = t->cost;
-    EXPECT_TRUE(IsChordal(t->filled));
-    enumerated.insert(testutil::FillKey(g, t->filled));
+    last_cost = t.cost;
+    EXPECT_TRUE(IsChordal(t.filled));
+    enumerated.insert(testutil::FillKey(g, t.filled));
     ASSERT_LE(rank, 2) << "more than 2 minimal triangulations enumerated";
   }
   EXPECT_EQ(rank, 2);

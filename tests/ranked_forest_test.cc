@@ -1,18 +1,21 @@
-#include "enumeration/ranked_forest.h"
-
+// The ranked forest: TieredEnumerator in exact mode ranks the product of
+// the connected components' ranked streams. Small hand-checked inputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "chordal/minimality.h"
 #include "cost/standard_costs.h"
+#include "enumeration/tiered_enum.h"
 #include "test_util.h"
-#include "workloads/named_graphs.h"
-#include "workloads/random_graphs.h"
 
 namespace mintri {
 namespace {
 
+using testutil::ExactTier;
+using testutil::FillSet;
 using testutil::MakeGraph;
 
 Graph TwoCycles() {
@@ -26,30 +29,31 @@ Graph TwoCycles() {
 TEST(RankedForestTest, ConnectedGraphMatchesPlainEnumerator) {
   Graph g = testutil::PaperExampleGraph();
   WidthCost width;
-  RankedForestEnumerator e(g, width, CostComposition::kMax);
+  TieredEnumerator e(g, width, CostComposition::kMax, {}, {}, ExactTier());
   ASSERT_TRUE(e.init_ok());
   auto first = e.Next();
   ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->Width(), 2);
+  EXPECT_EQ(first->triangulation.Width(), 2);
   auto second = e.Next();
   ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->Width(), 3);
+  EXPECT_EQ(second->triangulation.Width(), 3);
   EXPECT_FALSE(e.Next().has_value());
 }
 
 TEST(RankedForestTest, DisconnectedProductCount) {
   Graph g = TwoCycles();
   FillInCost fill;
-  RankedForestEnumerator e(g, fill, CostComposition::kSum);
+  TieredEnumerator e(g, fill, CostComposition::kSum, {}, {}, ExactTier());
   ASSERT_TRUE(e.init_ok());
-  std::set<testutil::FillSet> produced;
+  std::set<FillSet> produced;
   double last = 0;
-  while (auto t = e.Next()) {
-    EXPECT_GE(t->cost, last - 1e-9);  // ranked by total fill
-    last = t->cost;
-    EXPECT_TRUE(IsMinimalTriangulation(g, t->filled));
-    EXPECT_EQ(t->cost, static_cast<double>(t->FillIn(g)));
-    EXPECT_TRUE(produced.insert(t->FillEdgesSorted(g)).second);
+  while (auto r = e.Next()) {
+    const Triangulation& t = r->triangulation;
+    EXPECT_GE(t.cost, last - 1e-9);  // ranked by total fill
+    last = t.cost;
+    EXPECT_TRUE(IsMinimalTriangulation(g, t.filled));
+    EXPECT_EQ(t.cost, static_cast<double>(t.FillIn(g)));
+    EXPECT_TRUE(produced.insert(t.FillEdgesSorted(g)).second);
   }
   EXPECT_EQ(produced.size(), 10u);  // 2 (C4) x 5 (C5)
 }
@@ -64,31 +68,31 @@ TEST(RankedForestTest, MaxCompositionRanksWidth) {
   g.AddEdge(0, 2);
   for (int i = 0; i < 6; ++i) g.AddEdge(4 + i, 4 + (i + 1) % 6);
   WidthCost width;
-  RankedForestEnumerator e(g, width, CostComposition::kMax);
+  TieredEnumerator e(g, width, CostComposition::kMax, {}, {}, ExactTier());
   ASSERT_TRUE(e.init_ok());
   double last = -1;
   int count = 0;
-  while (auto t = e.Next()) {
-    EXPECT_GE(t->cost, last);
-    EXPECT_EQ(t->cost, static_cast<double>(t->Width()));
-    last = t->cost;
+  while (auto r = e.Next()) {
+    const Triangulation& t = r->triangulation;
+    EXPECT_GE(t.cost, last);
+    EXPECT_EQ(t.cost, static_cast<double>(t.Width()));
+    last = t.cost;
     ++count;
   }
-  // C6 has 6·3/... minimal triangulations of C6: Catalan-ish count = 12?
-  // C_n has n(n-4) + ... — simply: every output distinct, count equals
-  // (#triang of first comp = 1) x (#triang of C6).
-  EXPECT_GT(count, 5);
+  // The chordal component has one minimal triangulation, so the count is
+  // C6's: 14 triangulations of a hexagon, all minimal.
+  EXPECT_EQ(count, 14);
 }
 
 TEST(RankedForestTest, IsolatedVerticesAndEdges) {
   Graph g = MakeGraph(4, {{1, 2}});  // vertices 0 and 3 isolated
   WidthCost width;
-  RankedForestEnumerator e(g, width, CostComposition::kMax);
+  TieredEnumerator e(g, width, CostComposition::kMax, {}, {}, ExactTier());
   ASSERT_TRUE(e.init_ok());
-  auto t = e.Next();
-  ASSERT_TRUE(t.has_value());
-  EXPECT_EQ(t->bags.size(), 3u);  // {0}, {1,2}, {3}
-  EXPECT_EQ(t->Width(), 1);
+  auto r = e.Next();
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->triangulation.bags.size(), 3u);  // {0}, {1,2}, {3}
+  EXPECT_EQ(r->triangulation.Width(), 1);
   EXPECT_FALSE(e.Next().has_value());
 }
 
@@ -101,11 +105,11 @@ TEST(RankedForestTest, RankedPrefixIsGloballyOptimal) {
     brute.push_back(static_cast<double>(fs.size()));
   }
   std::sort(brute.begin(), brute.end());
-  RankedForestEnumerator e(g, fill, CostComposition::kSum);
+  TieredEnumerator e(g, fill, CostComposition::kSum, {}, {}, ExactTier());
   for (double expected : brute) {
-    auto t = e.Next();
-    ASSERT_TRUE(t.has_value());
-    EXPECT_EQ(t->cost, expected);
+    auto r = e.Next();
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->triangulation.cost, expected);
   }
   EXPECT_FALSE(e.Next().has_value());
 }

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "chordal/chordality.h"
@@ -18,6 +22,7 @@
 namespace mintri {
 namespace {
 
+using testutil::ExactTier;
 using testutil::FillSet;
 using testutil::MakeGraph;
 
@@ -42,16 +47,42 @@ Stream Drain(const Graph& g, TieredEnumerator* e) {
   return s;
 }
 
-Stream DrainDirect(const Graph& g, RankedForestEnumerator* e) {
+// The reference stream: the heap-free ranked-product oracle.
+std::vector<Triangulation> Oracle(const Graph& g, const BagCost& cost,
+                                  CostComposition composition,
+                                  size_t limit = SIZE_MAX) {
+  auto expected = testutil::RankedProductOracle(g, cost, composition, limit);
+  EXPECT_TRUE(expected.has_value()) << "n=" << g.NumVertices();
+  return expected.value_or(std::vector<Triangulation>{});
+}
+
+Stream OracleStream(const Graph& g, const BagCost& cost,
+                    CostComposition composition) {
   Stream s;
-  for (int i = 0; i < kExhaustCap; ++i) {
-    auto t = e->Next();
-    if (!t.has_value()) return s;
-    s.costs.push_back(t->cost);
-    s.classes[t->cost].insert(testutil::FillKey(g, t->filled));
+  for (const Triangulation& t : Oracle(g, cost, composition)) {
+    s.costs.push_back(t.cost);
+    s.classes[t.cost].insert(testutil::FillKey(g, t.filled));
   }
-  ADD_FAILURE() << "stream did not terminate within " << kExhaustCap;
   return s;
+}
+
+// Drains `e` into `got` and requires it to equal `expected` field by field:
+// the same order, bags, clique-tree parents, separators and costs.
+void ExpectSameStream(const std::vector<Triangulation>& expected,
+                      TieredEnumerator* e, const std::string& label,
+                      std::vector<Triangulation>* got = nullptr) {
+  for (size_t i = 0; i < expected.size(); ++i) {
+    auto r = e->Next();
+    ASSERT_TRUE(r.has_value()) << label << " ended early at " << i;
+    const Triangulation& t = r->triangulation;
+    EXPECT_EQ(r->tier, SolveTier::kExact) << label;
+    EXPECT_EQ(t.cost, expected[i].cost) << label << " #" << i;
+    EXPECT_EQ(t.bags, expected[i].bags) << label << " #" << i;
+    EXPECT_EQ(t.parent, expected[i].parent) << label << " #" << i;
+    EXPECT_EQ(t.separators, expected[i].separators) << label << " #" << i;
+    if (got != nullptr) got->push_back(t);
+  }
+  EXPECT_FALSE(e->Next().has_value()) << label << " has extra results";
 }
 
 TierOptions AutoOptions(bool decomposable) {
@@ -89,9 +120,7 @@ std::vector<Graph> DifferentialCorpus() {
 TEST(TieredEnumTest, DifferentialWidthEqualsDirect) {
   for (const Graph& g : DifferentialCorpus()) {
     WidthCost width;
-    RankedForestEnumerator direct(g, width, CostComposition::kMax);
-    ASSERT_TRUE(direct.init_ok());
-    Stream expected = DrainDirect(g, &direct);
+    Stream expected = OracleStream(g, width, CostComposition::kMax);
 
     TieredEnumerator tiered(g, width, CostComposition::kMax, {}, {},
                             AutoOptions(true));
@@ -105,9 +134,7 @@ TEST(TieredEnumTest, DifferentialWidthEqualsDirect) {
 TEST(TieredEnumTest, DifferentialFillSumEqualsDirect) {
   for (const Graph& g : DifferentialCorpus()) {
     FillInCost fill;
-    RankedForestEnumerator direct(g, fill, CostComposition::kSum);
-    ASSERT_TRUE(direct.init_ok());
-    Stream expected = DrainDirect(g, &direct);
+    Stream expected = OracleStream(g, fill, CostComposition::kSum);
 
     TieredEnumerator tiered(g, fill, CostComposition::kSum, {}, {},
                             AutoOptions(true));
@@ -118,22 +145,16 @@ TEST(TieredEnumTest, DifferentialFillSumEqualsDirect) {
 }
 
 // A non-decomposable cost keeps the units at whole connected components, so
-// the stream must be byte-for-byte the forest stream (tie order included).
-TEST(TieredEnumTest, NonDecomposableCostReplaysForestExactly) {
-  Graph g = testutil::PaperExampleGraph();
-  WidthCost width;
-  RankedForestEnumerator direct(g, width, CostComposition::kMax);
-  TieredEnumerator tiered(g, width, CostComposition::kMax, {}, {},
-                          AutoOptions(false));
-  EXPECT_EQ(tiered.tier(), SolveTier::kExact);
-  while (true) {
-    auto a = direct.Next();
-    auto b = tiered.Next();
-    ASSERT_EQ(a.has_value(), b.has_value());
-    if (!a.has_value()) break;
-    EXPECT_EQ(a->cost, b->triangulation.cost);
-    EXPECT_EQ(testutil::FillKey(g, a->filled),
-              testutil::FillKey(g, b->triangulation.filled));
+// the auto stream must be byte-for-byte the component product (tie order
+// included).
+TEST(TieredEnumTest, NonDecomposableCostReplaysProductExactly) {
+  for (const Graph& g : DifferentialCorpus()) {
+    WidthCost width;
+    TieredEnumerator tiered(g, width, CostComposition::kMax, {}, {},
+                            AutoOptions(false));
+    EXPECT_EQ(tiered.tier(), SolveTier::kExact);
+    ExpectSameStream(Oracle(g, width, CostComposition::kMax), &tiered,
+                     "n=" + std::to_string(g.NumVertices()));
   }
 }
 
@@ -144,13 +165,10 @@ TEST(TieredEnumTest, FamilyCorpusPrefixDifferential) {
                                workloads::ConnectedErdosRenyi(24, 0.12, 5)};
   for (const Graph& g : graphs) {
     WidthCost width;
-    RankedForestEnumerator direct(g, width, CostComposition::kMax);
-    ASSERT_TRUE(direct.init_ok());
     std::vector<CostValue> expected;
-    for (int i = 0; i < 50; ++i) {
-      auto t = direct.Next();
-      if (!t.has_value()) break;
-      expected.push_back(t->cost);
+    for (const Triangulation& t :
+         Oracle(g, width, CostComposition::kMax, /*limit=*/50)) {
+      expected.push_back(t.cost);
     }
     for (int threads : {1, 2, 4}) {
       ContextOptions options;
@@ -271,24 +289,101 @@ TEST(TieredEnumTest, ExhaustedBudgetFallsBackWithTruthfulTally) {
   EXPECT_GT(e.tier2_seconds(), 0.0);
 }
 
-TEST(TieredEnumTest, ExactModeDelegatesByteForByte) {
+TEST(TieredEnumTest, ExactModeMatchesOracleByteForByte) {
+  // Tier 0 would rewrite the paper example (it has a simplicial vertex), so
+  // this also checks that exact mode ignores decomposable_cost.
   Graph g = testutil::PaperExampleGraph();
   WidthCost width;
-  TierOptions t;
-  t.mode = TierOptions::Mode::kExact;
-  RankedForestEnumerator direct(g, width, CostComposition::kMax);
+  TierOptions t = ExactTier();
+  t.decomposable_cost = true;
   TieredEnumerator tiered(g, width, CostComposition::kMax, {}, {}, t);
   EXPECT_EQ(tiered.tier(), SolveTier::kExact);
-  while (true) {
-    auto a = direct.Next();
-    auto b = tiered.Next();
-    ASSERT_EQ(a.has_value(), b.has_value());
-    if (!a.has_value()) break;
-    EXPECT_EQ(a->cost, b->triangulation.cost);
-    EXPECT_EQ(a->bags, b->triangulation.bags);
-    EXPECT_EQ(a->parent, b->triangulation.parent);
-    EXPECT_EQ(a->separators, b->triangulation.separators);
+  EXPECT_EQ(tiered.preprocess_info().vertices_removed, 0);
+  ExpectSameStream(Oracle(g, width, CostComposition::kMax), &tiered,
+                   "paper example");
+}
+
+// Disjoint unions of 3-5 components: the product merge is where the
+// successor rule matters. Exact mode must emit the oracle's stream
+// byte-for-byte, and no fill set may repeat.
+Graph DisjointUnion(const std::vector<Graph>& parts) {
+  int n = 0;
+  for (const Graph& p : parts) n += p.NumVertices();
+  Graph g(n);
+  int offset = 0;
+  for (const Graph& p : parts) {
+    for (const auto& [u, v] : p.Edges()) g.AddEdge(u + offset, v + offset);
+    offset += p.NumVertices();
   }
+  return g;
+}
+
+std::vector<Graph> DisjointUnionCorpus() {
+  using workloads::ConnectedErdosRenyi;
+  using workloads::Cycle;
+  std::vector<Graph> corpus;
+  corpus.push_back(DisjointUnion({Cycle(4), Cycle(5), Cycle(6)}));
+  corpus.push_back(DisjointUnion({Cycle(4), Cycle(4), Cycle(4), Cycle(4)}));
+  corpus.push_back(
+      DisjointUnion({Cycle(5), Cycle(4), Cycle(5), Cycle(4), Cycle(4)}));
+  corpus.push_back(DisjointUnion({ConnectedErdosRenyi(7, 0.4, 1),
+                                  ConnectedErdosRenyi(6, 0.4, 2), Cycle(5)}));
+  corpus.push_back(DisjointUnion({ConnectedErdosRenyi(6, 0.45, 3), Cycle(6),
+                                  ConnectedErdosRenyi(7, 0.35, 4), Cycle(4)}));
+  return corpus;
+}
+
+TEST(TieredEnumTest, ExactModeDisjointUnionsMatchOracle) {
+  WidthCost width;
+  FillInCost fill;
+  const std::vector<std::pair<const BagCost*, CostComposition>> costs = {
+      {&width, CostComposition::kMax}, {&fill, CostComposition::kSum}};
+  const std::vector<Graph> corpus = DisjointUnionCorpus();
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    const Graph& g = corpus[i];
+    for (const auto& [cost, composition] : costs) {
+      const std::string label =
+          "graph " + std::to_string(i) + " " + cost->Name();
+      TieredEnumerator e(g, *cost, composition, {}, {}, ExactTier());
+      ASSERT_TRUE(e.init_ok()) << label;
+      std::vector<Triangulation> got;
+      ExpectSameStream(Oracle(g, *cost, composition), &e, label, &got);
+
+      std::set<FillSet> fills;
+      for (const Triangulation& t : got) {
+        EXPECT_TRUE(fills.insert(testutil::FillKey(g, t.filled)).second)
+            << label;
+      }
+      EXPECT_GE(fills.size(), 8u) << label;
+    }
+  }
+}
+
+TEST(TieredEnumTest, ExactModeBuildFailureStopsTheStream) {
+  // A separator cap below C6's nine minimal separators: the second
+  // component's build gives up and exact mode has no fallback.
+  Graph g = MakeGraph(9, {{0, 1}, {1, 2}, {3, 4}, {4, 5}, {5, 6}, {6, 7},
+                          {7, 8}, {8, 3}});
+  ContextOptions options;
+  options.separator_limits.max_results = 2;
+  WidthCost width;
+  TieredEnumerator e(g, width, CostComposition::kMax, options, {},
+                     ExactTier());
+  EXPECT_FALSE(e.init_ok());
+  EXPECT_EQ(e.init_info().termination,
+            ContextBuildInfo::Termination::kMsTerminated);
+  EXPECT_STREQ(e.init_info().TerminationName(), "ms-terminated");
+  EXPECT_EQ(e.init_info().num_builds, 2u);  // the path, then the cycle
+  EXPECT_EQ(e.init_info().num_ms_terminated, 1u);
+  EXPECT_EQ(e.tier2_seconds(), 0.0);
+  EXPECT_FALSE(e.Next().has_value());
+
+  // Auto mode falls back to Tier 2 on the same limits instead.
+  TieredEnumerator fallback(g, width, CostComposition::kMax, options, {},
+                            AutoOptions(false));
+  EXPECT_TRUE(fallback.init_ok());
+  EXPECT_EQ(fallback.tier(), SolveTier::kHeuristic);
+  EXPECT_TRUE(fallback.Next().has_value());
 }
 
 TEST(TieredEnumTest, ChordalInputEmitsExactlyOneResult) {
