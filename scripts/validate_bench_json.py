@@ -43,7 +43,6 @@ ENTRY = {
     "results_per_sec": float,
     "init_seconds": float,
     "cost": str,
-    "solver": str,
     "candidate_evals": int,
     "combine_calls": int,
     "index_updates": int,
@@ -61,9 +60,6 @@ KNOWN_STATUSES = {"complete", "truncated", "ms-terminated", "pmc-terminated",
                   "cost-error"}
 # The application costs the appcost suite ranks by.
 APPCOST_COSTS = {"hypertree", "fhw", "state-space"}
-# The ranked suite's repair engines (bench --solver values). The default
-# sweep emits one entry per engine at every (threads, graph) point.
-RANKED_SOLVERS = {"indexed", "scan"}
 # The tiered pipeline's truthful stream labels (huge-suite entries only;
 # every other suite runs the direct exact stack and emits "").
 KNOWN_TIERS = {"exact", "atom-exact", "heuristic"}
@@ -267,18 +263,6 @@ def main():
         if any(entry[k] < 0 for k in ("candidate_evals", "combine_calls",
                                       "index_updates", "range_queries")):
             fail(f"{where}: negative solver counter")
-        if entry["suite"] == "ranked":
-            if entry["solver"] not in RANKED_SOLVERS:
-                fail(f"{where}: ranked entry has solver "
-                     f"{entry['solver']!r}, expected one of "
-                     f"{sorted(RANKED_SOLVERS)}")
-            # The list-scan baseline has no segment tree to touch.
-            if entry["solver"] == "scan" and (entry["index_updates"] != 0 or
-                                              entry["range_queries"] != 0):
-                fail(f"{where}: scan entry reports index activity")
-        elif entry["solver"]:
-            fail(f"{where}: non-ranked entry has solver "
-                 f"{entry['solver']!r}")
         if entry["suite"] == "appcost":
             if entry["cost"] not in APPCOST_COSTS:
                 fail(f"{where}: appcost entry has cost {entry['cost']!r}, "
@@ -292,17 +276,6 @@ def main():
                      f"expected a PACE-scale graph (n >= 1000)")
         elif entry["tier"]:
             fail(f"{where}: non-huge entry has tier {entry['tier']!r}")
-
-    # The CI smoke gate must exercise both repair engines — a report with
-    # only one means the interleaved comparison (and the byte-identity
-    # cross-check it implies) silently stopped running.
-    if smoke and "ranked" in suites:
-        seen_solvers = {e["solver"] for e in entries
-                        if e["suite"] == "ranked"}
-        if seen_solvers != RANKED_SOLVERS:
-            fail(f"smoke ranked entries cover solvers "
-                 f"{sorted(seen_solvers)}, expected both of "
-                 f"{sorted(RANKED_SOLVERS)}")
 
     per_suite = {s: sum(1 for e in entries if e["suite"] == s)
                  for s in suites}

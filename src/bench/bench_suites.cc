@@ -138,7 +138,7 @@ BenchEntry RunEnum(const SuiteContext& ctx,
   WidthCost cost;
   WallTimer timer;
   TieredEnumerator enumerator(dg.graph, cost, CostComposition::kMax, options,
-                              SolverOptions{}, ExactTierOptions());
+                              {}, ExactTierOptions());
   e.init_seconds = enumerator.init_seconds();
   if (!enumerator.init_ok()) {
     FinishEntry(&e, 0, timer.Seconds(),
@@ -164,27 +164,21 @@ BenchEntry RunEnum(const SuiteContext& ctx,
 // context initialization at the entry's thread count, then ranked
 // enumeration, reporting init_seconds and the after-first-result
 // throughput (the paper's enumeration-rate measure, which excludes the
-// one-off initialization the pipeline amortizes). Each entry runs one
-// repair engine (`solver`); the default sweep runs both per point, back to
-// back, so the report is its own interleaved before/after comparison. The
-// enumeration budget doubles as a solver deadline, so a repair pass that
-// overruns is cut inside the loop and reported truthfully as truncated
-// rather than blowing past the budget.
+// one-off initialization the pipeline amortizes). The enumeration budget
+// doubles as a solver deadline, so a repair pass that overruns is cut
+// inside the loop and reported truthfully as truncated rather than
+// blowing past the budget.
 BenchEntry RunRanked(const SuiteContext& ctx,
                      const workloads::DatasetFamily& family,
-                     const workloads::DatasetGraph& dg,
-                     const std::string& solver) {
+                     const workloads::DatasetGraph& dg) {
   BenchEntry e = MakeEntry("ranked", ctx, family, dg);
   e.cost = "width";
-  e.solver = solver;
   const double budget = EnumBudget() * ctx.budget_factor;
   ContextOptions options = MakeContextOptions(ctx, budget);
-  SolverOptions solver_options;
-  solver_options.use_candidate_index = solver == "indexed";
   WidthCost cost;
   WallTimer timer;
   TieredEnumerator enumerator(dg.graph, cost, CostComposition::kMax, options,
-                              solver_options, ExactTierOptions());
+                              {}, ExactTierOptions());
   e.init_seconds = enumerator.init_seconds();
   if (!enumerator.init_ok()) {
     FinishEntry(&e, 0, timer.Seconds(),
@@ -251,7 +245,7 @@ BenchEntry RunHuge(const SuiteContext& ctx,
   tier_options.exact_budget_seconds = budget;
   WidthCost cost;
   TieredEnumerator enumerator(dg.graph, cost, CostComposition::kMax, options,
-                              SolverOptions{}, tier_options);
+                              {}, tier_options);
   e.init_seconds = enumerator.init_seconds();
   e.tier = TierName(enumerator.tier());
   WallTimer timer;
@@ -340,7 +334,7 @@ BenchEntry RunAppCost(const SuiteContext& ctx, const AppCostCase& acase) {
   ContextOptions options = MakeContextOptions(ctx, budget);
   WallTimer timer;
   TieredEnumerator enumerator(acase.instance.graph, *model->cost,
-                              model->composition, options, SolverOptions{},
+                              model->composition, options, {},
                               ExactTierOptions());
   e.init_seconds = enumerator.init_seconds();
   if (!enumerator.init_ok()) {
@@ -419,9 +413,6 @@ BenchReport RunBenchSuites(const BenchRunOptions& options,
   SuiteContext ctx;
   ctx.smoke = options.smoke;
   ctx.budget_factor = options.smoke ? kSmokeBudgetFactor : 1.0;
-  const std::vector<std::string> ranked_solvers =
-      options.solver.empty() ? std::vector<std::string>{"indexed", "scan"}
-                             : std::vector<std::string>{options.solver};
 
   for (const std::string& suite : report.suites) {
     // The appcost suite runs its own instance list (application costs over
@@ -497,32 +488,23 @@ BenchReport RunBenchSuites(const BenchRunOptions& options,
         for (const workloads::DatasetGraph& dg : family.graphs) {
           if (ctx.smoke && used >= kSmokeGraphsPerFamily) break;
           ++used;
-          // The ranked suite produces one entry per repair engine at each
-          // (threads, graph) point, back to back on the same machine state
-          // — an interleaved comparison, not two separate runs.
-          std::vector<BenchEntry> produced;
+          BenchEntry entry;
           if (suite == "minseps") {
-            produced.push_back(RunMinSeps(ctx, family, dg));
+            entry = RunMinSeps(ctx, family, dg);
           } else if (suite == "pmc") {
-            produced.push_back(RunPmc(ctx, family, dg));
+            entry = RunPmc(ctx, family, dg);
           } else if (suite == "ranked") {
-            for (const std::string& solver : ranked_solvers) {
-              produced.push_back(RunRanked(ctx, family, dg, solver));
-            }
+            entry = RunRanked(ctx, family, dg);
           } else {
-            produced.push_back(RunEnum(ctx, family, dg));
+            entry = RunEnum(ctx, family, dg);
           }
-          for (BenchEntry& entry : produced) {
-            if (progress != nullptr) {
-              *progress << suite << "[t=" << threads
-                        << (entry.solver.empty() ? "" : ", " + entry.solver)
-                        << "] " << family.name << "/" << dg.name << ": "
-                        << entry.count << " results in "
-                        << FormatDouble(entry.wall_ms) << " ms ("
-                        << entry.status << ")\n";
-            }
-            report.entries.push_back(std::move(entry));
+          if (progress != nullptr) {
+            *progress << suite << "[t=" << threads << "] " << family.name
+                      << "/" << dg.name << ": " << entry.count
+                      << " results in " << FormatDouble(entry.wall_ms)
+                      << " ms (" << entry.status << ")\n";
           }
+          report.entries.push_back(std::move(entry));
         }
       }
     }
@@ -560,8 +542,6 @@ void WriteBenchJson(const BenchReport& report, std::ostream& out) {
         << ", \"init_seconds\": " << FormatDouble(e.init_seconds)
         << ", \"cost\": ";
     AppendJsonString(e.cost, out);
-    out << ", \"solver\": ";
-    AppendJsonString(e.solver, out);
     out << ", \"candidate_evals\": " << e.candidate_evals
         << ", \"combine_calls\": " << e.combine_calls
         << ", \"index_updates\": " << e.index_updates

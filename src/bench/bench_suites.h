@@ -49,14 +49,9 @@ struct BenchEntry {
   /// Memoized bag-score cache hit rate in [0, 1] (appcost entries under
   /// the edge-cover costs; 0 where no cache runs).
   double cache_hit_rate = 0.0;
-  /// The ranked suite's repair engine for this entry — "indexed" (segment
-  /// tree) or "scan" (list-scan baseline); empty for the other suites. The
-  /// default ranked sweep runs every (threads, graph) point with both back
-  /// to back, so one report carries its own before/after comparison.
-  std::string solver;
   /// Solver repair cost for the ranked suite (0 elsewhere): candidate
   /// evaluations, evaluations that reached the base Combine, and the
-  /// segment-tree point updates / range-min queries (0 under "scan").
+  /// segment-tree point updates / range-min queries.
   long long candidate_evals = 0;
   long long combine_calls = 0;
   long long index_updates = 0;
@@ -73,7 +68,8 @@ struct BenchEntry {
 /// The machine-readable benchmark report (serialized as BENCH_core.json).
 /// Schema history: v2 added the per-entry solver + repair-counter fields,
 /// then the huge suite's per-entry tier label (same version: the field is
-/// emitted for every entry).
+/// emitted for every entry). Entries no longer carry the v2 solver field;
+/// scripts/bench_diff.py reads its absence as "".
 struct BenchReport {
   int schema_version = 2;
   std::string git_sha;
@@ -94,10 +90,6 @@ struct BenchRunOptions {
   /// serial baseline next to the parallel numbers; a positive value runs
   /// every suite at exactly that thread count.
   int threads = 0;
-  /// Repair engine for the ranked suite: "indexed" | "scan" pins one path;
-  /// empty (the default) runs every ranked point with both, interleaved, so
-  /// the report compares them under identical machine conditions.
-  std::string solver;
 };
 
 const std::vector<std::string>& AllSuiteNames();

@@ -79,8 +79,8 @@ BatchRecord RunOneInstance(const std::string& spec,
   tier_options.decomposable_cost = IsTierDecomposableCost(options.cost);
   tier_options.exact_budget_seconds = options.time_limit;
   TieredEnumerator enumerator(instance->graph, *model->cost,
-                              model->composition, ctx_options,
-                              SolverOptions{}, tier_options);
+                              model->composition, ctx_options, {},
+                              tier_options);
   record.init_seconds = enumerator.init_seconds();
   if (!enumerator.init_ok()) {
     record.status = "init-failed";

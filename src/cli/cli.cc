@@ -27,7 +27,6 @@ struct Options {
   std::string input = "gr";  // stdin format: gr | hg | uai
   double time_limit = 30.0;
   int threads = 1;
-  std::string solver = "indexed";
   std::string tier = "auto";
   bool no_cache = false;
   bool stats = false;
@@ -65,9 +64,6 @@ constexpr char kUsage[] =
     "                     budget that all atoms share\n"
     "  --threads=N        worker threads for the separator/PMC enumeration\n"
     "                     during initialization (default 1 = serial)\n"
-    "  --solver=indexed|scan  repair engine for the incremental DP: the\n"
-    "                     segment-tree candidate index (default) or the\n"
-    "                     list-scan baseline; both print identical results\n"
     "  --tier=auto|exact|heuristic  solve pipeline (default auto): exact is\n"
     "                     the classic full enumeration (fails on graphs\n"
     "                     whose MinSep/PMC enumeration exceeds the budget);\n"
@@ -122,13 +118,6 @@ bool ParseArgs(const std::vector<std::string>& args, Options* options,
             << " (expected an integer in 1.." << flags::MaxThreads() << ")\n";
         return false;
       }
-    } else if (auto solver = value_of("--solver=")) {
-      if (*solver != "indexed" && *solver != "scan") {
-        err << "invalid value for --solver: " << *solver
-            << " (expected indexed or scan)\n";
-        return false;
-      }
-      options->solver = *solver;
     } else if (auto tier = value_of("--tier=")) {
       if (*tier != "auto" && *tier != "exact" && *tier != "heuristic") {
         err << "invalid value for --tier: " << *tier
@@ -172,9 +161,6 @@ constexpr char kBenchUsage[] =
     "  --smoke      CI-sized run: few families, capped graphs, short budgets\n"
     "  --threads=N  run every suite at exactly N threads; default is the\n"
     "               sweep {1, hardware_concurrency} for minseps/pmc/ranked\n"
-    "  --solver=indexed|scan  pin the ranked suite's repair engine; default\n"
-    "               runs every ranked point with both back to back (the\n"
-    "               interleaved before/after comparison)\n"
     "  --quiet      no per-graph progress on stderr\n"
     "  --help       show this message and exit\n"
     "\n"
@@ -202,14 +188,6 @@ int RunBenchCommand(const std::vector<std::string>& args, std::ostream& out,
             << " (expected an integer in 1.." << flags::MaxThreads() << ")\n";
         return 1;
       }
-    } else if (arg.rfind("--solver=", 0) == 0) {
-      const std::string value = arg.substr(9);
-      if (value != "indexed" && value != "scan") {
-        err << "invalid value for --solver: " << value
-            << " (expected indexed or scan)\n";
-        return 1;
-      }
-      options.solver = value;
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
     } else if (!arg.empty() && arg[0] == '-') {
@@ -351,8 +329,6 @@ int RunCli(const std::vector<std::string>& args, std::istream& in,
     return 1;
   }
 
-  SolverOptions solver_options;
-  solver_options.use_candidate_index = options.solver == "indexed";
   TierOptions tier_options;
   tier_options.mode = options.tier == "exact"
                           ? TierOptions::Mode::kExact
@@ -361,7 +337,7 @@ int RunCli(const std::vector<std::string>& args, std::istream& in,
                                 : TierOptions::Mode::kAuto;
   tier_options.decomposable_cost = IsTierDecomposableCost(options.cost);
   tier_options.exact_budget_seconds = options.time_limit;
-  TieredEnumerator e(g, cost, model->composition, ctx_options, solver_options,
+  TieredEnumerator e(g, cost, model->composition, ctx_options, {},
                      tier_options);
   const ContextBuildInfo& info = e.init_info();
   if (!e.init_ok()) {
@@ -394,8 +370,7 @@ int RunCli(const std::vector<std::string>& args, std::istream& in,
                 TierName(t->tier));
   }
   if (options.stats) {
-    err << "solver[" << options.solver
-        << "]: optimizer_calls=" << e.num_optimizer_calls()
+    err << "solver: optimizer_calls=" << e.num_optimizer_calls()
         << " candidate_evals=" << e.num_candidate_evals()
         << " combine_calls=" << e.num_combine_calls()
         << " index_updates=" << e.num_index_updates()

@@ -20,9 +20,8 @@ void EraseSorted(std::vector<int>* v, int id) {
 }  // namespace
 
 RankedTriangulationEnumerator::RankedTriangulationEnumerator(
-    const TriangulationContext& ctx, const BagCost& cost,
-    const SolverOptions& solver_options)
-    : ctx_(ctx), solver_(ctx, cost, solver_options) {
+    const TriangulationContext& ctx, const BagCost& cost)
+    : ctx_(ctx), solver_(ctx, cost) {
   ++num_optimizer_calls_;
   std::optional<Triangulation> first = solver_.Solve({}, {});
   if (first.has_value()) {

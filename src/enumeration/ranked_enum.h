@@ -41,12 +41,11 @@ namespace mintri {
 /// any time (the "anytime" usage the paper motivates).
 class RankedTriangulationEnumerator {
  public:
-  /// `ctx` and `cost` must outlive the enumerator. `solver_options` selects
-  /// the repair engine (segment-tree candidate index vs. the list-scan
-  /// baseline); both produce byte-identical streams.
+  /// `ctx` and `cost` must outlive the enumerator. Every optimizer call
+  /// goes to one MinTriangSolver, which repairs its DP tables incrementally
+  /// between sibling partitions.
   RankedTriangulationEnumerator(const TriangulationContext& ctx,
-                                const BagCost& cost,
-                                const SolverOptions& solver_options = {});
+                                const BagCost& cost);
 
   std::optional<Triangulation> Next();
 
@@ -74,7 +73,7 @@ class RankedTriangulationEnumerator {
   /// Evaluations that reached the (expensive) base Combine; the rest
   /// short-circuited on a constraint violation or infeasible child.
   long long num_combine_calls() const { return solver_.num_combine_calls(); }
-  /// Segment-tree repair counters (0 under the list-scan solver path).
+  /// Segment-tree repair counters: point updates and range-min queries.
   long long num_index_updates() const { return solver_.num_index_updates(); }
   long long num_range_queries() const { return solver_.num_range_queries(); }
 

@@ -31,7 +31,7 @@ bool IsTierDecomposableCost(const std::string& cost_name) {
 TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
                                    CostComposition composition,
                                    const ContextOptions& options,
-                                   const SolverOptions& solver_options,
+                                   const SolverOptions&,
                                    const TierOptions& tier_options)
     : g_(g), cost_(cost), composition_(composition) {
   // Exact mode: the units are the connected components, and only the
@@ -49,8 +49,8 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
     Graph sub = g.InducedSubgraph(comp_vertices);
 
     if (exact || !tier_options.decomposable_cost) {
-      if (!AddUnit(sub, std::move(comp_old_of_new), options, solver_options,
-                   tier_options, remaining_budget())) {
+      if (!AddUnit(sub, std::move(comp_old_of_new), options, tier_options,
+                   remaining_budget())) {
         init_ok_ = false;
         return;
       }
@@ -86,8 +86,8 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
       atom.ForEach([&](int v) {
         old_of_new[atom_old_to_new[v]] = comp_old_of_new[v];
       });
-      AddUnit(asub, std::move(old_of_new), options, solver_options,
-              tier_options, remaining_budget());
+      AddUnit(asub, std::move(old_of_new), options, tier_options,
+              remaining_budget());
     }
   }
 
@@ -123,7 +123,6 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
 
 bool TieredEnumerator::AddUnit(const Graph& sub, std::vector<int> old_of_new,
                                const ContextOptions& options,
-                               const SolverOptions& solver_options,
                                const TierOptions& tier_options,
                                double remaining_budget) {
   Unit unit;
@@ -218,8 +217,7 @@ bool TieredEnumerator::AddUnit(const Graph& sub, std::vector<int> old_of_new,
 
   unit.enumerator = std::make_unique<RankedTriangulationEnumerator>(
       *unit.context,
-      unit.restricted_cost != nullptr ? *unit.restricted_cost : cost_,
-      solver_options);
+      unit.restricted_cost != nullptr ? *unit.restricted_cost : cost_);
   units_.push_back(std::move(unit));
   return true;
 }

@@ -60,6 +60,9 @@ struct TierOptions {
   double exact_budget_seconds = std::numeric_limits<double>::infinity();
 };
 
+/// No fields; kept because callers still pass `{}` as the fifth argument.
+struct SolverOptions {};
+
 struct TieredResult {
   Triangulation triangulation;
   SolveTier tier;
@@ -91,7 +94,7 @@ class TieredEnumerator {
   TieredEnumerator(const Graph& g, const BagCost& cost,
                    CostComposition composition,
                    const ContextOptions& options = {},
-                   const SolverOptions& solver_options = {},
+                   const SolverOptions& = {},
                    const TierOptions& tier_options = {});
 
   /// Only false in Mode::kExact when a component's build hit its limits
@@ -152,7 +155,6 @@ class TieredEnumerator {
   /// False only when an exact-mode build hit its limits.
   bool AddUnit(const Graph& sub, std::vector<int> old_of_new,
                const ContextOptions& options,
-               const SolverOptions& solver_options,
                const TierOptions& tier_options, double remaining_budget);
   bool Materialize(int unit, size_t i);
   long long SumOverUnits(

@@ -13,13 +13,16 @@ std::optional<Graph> ParseDimacs(std::istream& in) {
     if (line[0] == 'p') {
       std::string p, format;
       int n = 0, m = 0;
-      if (!(ls >> p >> format >> n >> m) || n < 0) return std::nullopt;
+      if (g.has_value() || !(ls >> p >> format >> n >> m) || n < 0) {
+        return std::nullopt;
+      }
       g.emplace(n);
       continue;
     }
     if (!g.has_value()) return std::nullopt;
     int u = 0, v = 0;
-    if (!(ls >> u >> v)) return std::nullopt;
+    std::string extra;
+    if (!(ls >> u >> v) || (ls >> extra)) return std::nullopt;
     if (u < 1 || v < 1 || u > g->NumVertices() || v > g->NumVertices()) {
       return std::nullopt;
     }
@@ -38,18 +41,6 @@ void WriteDimacs(const Graph& g, std::ostream& out) {
   for (const auto& [u, v] : g.Edges()) {
     out << (u + 1) << " " << (v + 1) << "\n";
   }
-}
-
-std::optional<Graph> ParseEdgeList(std::istream& in) {
-  int n = 0;
-  if (!(in >> n) || n < 0) return std::nullopt;
-  Graph g(n);
-  int u = 0, v = 0;
-  while (in >> u >> v) {
-    if (u < 0 || v < 0 || u >= n || v >= n) return std::nullopt;
-    g.AddEdge(u, v);
-  }
-  return g;
 }
 
 }  // namespace mintri

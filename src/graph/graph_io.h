@@ -14,16 +14,13 @@ namespace mintri {
 ///   c comment lines
 ///   p tw <n> <m>
 ///   <u> <v>            (1-based vertex ids)
-/// Returns std::nullopt on malformed input.
+/// Returns std::nullopt on malformed input, including a second `p` line
+/// and an edge line with more than two fields.
 std::optional<Graph> ParseDimacs(std::istream& in);
 std::optional<Graph> ParseDimacsString(const std::string& text);
 
 /// Writes the graph in the same format.
 void WriteDimacs(const Graph& g, std::ostream& out);
-
-/// Parses a simple edge list: first line "<n>", then "<u> <v>" pairs
-/// (0-based). Returns std::nullopt on malformed input.
-std::optional<Graph> ParseEdgeList(std::istream& in);
 
 }  // namespace mintri
 

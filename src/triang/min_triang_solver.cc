@@ -21,21 +21,17 @@ void SetDiffInto(const std::vector<int>& a, const std::vector<int>& b,
 }  // namespace
 
 MinTriangSolver::MinTriangSolver(const TriangulationContext& ctx,
-                                 const BagCost& cost,
-                                 const SolverOptions& options)
+                                 const BagCost& cost)
     : ctx_(ctx),
       cost_(cost),
-      options_(options),
       empty_separator_(ctx.graph().NumVertices()),
       all_vertices_(ctx.graph().Vertices()) {
   const int num_nodes = Root() + 1;
   cand_values_.resize(num_nodes);
   cand_dirty_.resize(num_nodes);
   cand_blocked_.resize(num_nodes);
-  if (options_.use_candidate_index) {
-    cand_trees_.resize(num_nodes);
-    dirty_list_.resize(num_nodes);
-  }
+  cand_trees_.resize(num_nodes);
+  dirty_list_.resize(num_nodes);
   for (int node = 0; node < num_nodes; ++node) {
     const size_t k = Candidates(node).size();
     cand_values_[node].assign(k, kInfiniteCost);
@@ -45,40 +41,24 @@ MinTriangSolver::MinTriangSolver(const TriangulationContext& ctx,
   }
   value_.assign(num_nodes, kInfiniteCost);
   choice_.assign(num_nodes, -1);
-  node_seeded_.assign(num_nodes, 0);
   node_forced_.assign(num_nodes, 0);
-  node_touched_.assign(num_nodes, 0);
-  value_changed_.assign(num_nodes, 0);
 }
 
 void MinTriangSolver::BuildHosts() {
   hosts_built_ = true;
+  // Candidate-granular reverse edges: when block b's value changes, the
+  // repair dirties exactly the (host, k) candidates that combine over b —
+  // a point update each — instead of rescanning every candidate of every
+  // host.
+  host_cands_.resize(ctx_.blocks().size());
   const int num_nodes = Root() + 1;
-  if (options_.use_candidate_index) {
-    // Candidate-granular reverse edges: when block b's value changes, the
-    // repair dirties exactly the (host, k) candidates that combine over b —
-    // a point update each — instead of rescanning every candidate of every
-    // host (hosts_ stays unbuilt; the indexed pass never walks it).
-    host_cands_.resize(ctx_.blocks().size());
-    for (int node = 0; node < num_nodes; ++node) {
-      const std::vector<std::vector<int>>& children = Children(node);
-      for (size_t k = 0; k < children.size(); ++k) {
-        for (int cid : children[k]) {
-          host_cands_[cid].push_back({node, static_cast<int>(k)});
-        }
+  for (int node = 0; node < num_nodes; ++node) {
+    const std::vector<std::vector<int>>& children = Children(node);
+    for (size_t k = 0; k < children.size(); ++k) {
+      for (int cid : children[k]) {
+        host_cands_[cid].push_back({node, static_cast<int>(k)});
       }
     }
-    return;
-  }
-  hosts_.resize(ctx_.blocks().size());
-  for (int node = 0; node < num_nodes; ++node) {
-    for (const std::vector<int>& kids : Children(node)) {
-      for (int cid : kids) hosts_[cid].push_back(node);
-    }
-  }
-  for (std::vector<int>& h : hosts_) {
-    std::sort(h.begin(), h.end());
-    h.erase(std::unique(h.begin(), h.end()), h.end());
   }
 }
 
@@ -146,8 +126,7 @@ CostValue MinTriangSolver::EvalCandidate(int node, size_t k) {
 void MinTriangSolver::MarkDirty(int node, int k) {
   if (cand_dirty_[node][k] == epoch_) return;
   cand_dirty_[node][k] = epoch_;
-  node_seeded_[node] = epoch_;
-  if (options_.use_candidate_index) dirty_list_[node].push_back(k);
+  dirty_list_[node].push_back(k);
 }
 
 bool MinTriangSolver::PollDeadline() {
@@ -166,16 +145,13 @@ void MinTriangSolver::ApplyConstraintDelta(
   // blocked[k] — how many current constraints candidate k violates — stays
   // exact under adds/removes because each (separator, candidate) geometry
   // is static, and blocked[k] > 0 ⟺ CombineViolatesConstraints there.
-  const bool indexed = options_.use_candidate_index;
   const auto add = [&](const std::vector<std::pair<int, int>>& affected) {
     for (const auto& [node, k] : affected) {
       if (++cand_blocked_[node][k] == 1 && !full &&
           !std::isinf(cand_values_[node][k])) {
         cand_values_[node][k] = kInfiniteCost;
-        if (indexed) {
-          cand_trees_[node].Update(k, kInfiniteCost);
-          ++num_index_updates_;
-        }
+        cand_trees_[node].Update(k, kInfiniteCost);
+        ++num_index_updates_;
         node_forced_[node] = epoch_;
       }
     }
@@ -195,76 +171,15 @@ void MinTriangSolver::ApplyConstraintDelta(
   for (int id : removed_inc) remove(GeometryFor(id).inclusion);
 }
 
-void MinTriangSolver::RepairScan(bool full) {
+void MinTriangSolver::Repair(bool full) {
   const int root = Root();
   // Blocks are sorted ascending by |S ∪ C| and every child is strictly
-  // smaller than its host, so one forward pass (root last) sees every
-  // child's repaired value before any host that depends on it.
+  // smaller than its host, so one forward pass (root last) processes a
+  // child before any (host, k) candidate it appears under: MarkDirty from
+  // the cascade only ever targets nodes still ahead of the sweep.
   for (int node = 0; node <= root; ++node) {
     if (PollDeadline()) return;
-    const bool seeded = node_seeded_[node] == epoch_;
-    const bool forced = node_forced_[node] == epoch_;
-    const bool child_changed = !full && node_touched_[node] == epoch_;
-    if (!full && !seeded && !forced && !child_changed) continue;
-
-    const std::vector<int>& cands = Candidates(node);
-    if (cands.empty()) continue;
-    const std::vector<std::vector<int>>& children = Children(node);
-    std::vector<CostValue>& values = cand_values_[node];
-    std::vector<uint32_t>& dirty = cand_dirty_[node];
-    std::vector<uint32_t>& blocked = cand_blocked_[node];
-
-    bool recomputed = forced;
-    for (size_t k = 0; k < cands.size(); ++k) {
-      bool d = full || (seeded && dirty[k] == epoch_);
-      if (!d && child_changed) {
-        for (int cid : children[k]) {
-          if (value_changed_[cid] == epoch_) {
-            d = true;
-            break;
-          }
-        }
-      }
-      if (!d) continue;
-      // A blocked candidate is ∞ by constraint violation alone — no need
-      // to evaluate (EvalCandidate would reach the same conclusion).
-      values[k] = blocked[k] > 0 ? kInfiniteCost : EvalCandidate(node, k);
-      recomputed = true;
-      if (PollDeadline()) return;
-    }
-    if (!recomputed) continue;
-
-    // Re-pick the node optimum exactly as the full DP does: the first
-    // strict improvement wins, so ties resolve to the smallest k.
-    CostValue best = kInfiniteCost;
-    int best_k = -1;
-    for (size_t k = 0; k < cands.size(); ++k) {
-      if (values[k] < best) {
-        best = values[k];
-        best_k = static_cast<int>(k);
-      }
-    }
-    choice_[node] = best_k;
-    if (best != value_[node]) {
-      value_[node] = best;
-      value_changed_[node] = epoch_;
-      // On a full pass everything is evaluated anyway (and hosts_ may not
-      // be built yet), so the cascade marking is only for repairs.
-      if (!full && node != root) {
-        for (int host : hosts_[node]) node_touched_[host] = epoch_;
-      }
-    }
-  }
-}
-
-void MinTriangSolver::RepairIndexed(bool full) {
-  const int root = Root();
-  // Same forward order as RepairScan; a child is always processed before
-  // any (host, k) candidate it appears under, so MarkDirty from the cascade
-  // only ever targets nodes still ahead of the sweep.
-  for (int node = 0; node <= root; ++node) {
-    if (PollDeadline()) return;
-    const bool seeded = node_seeded_[node] == epoch_;
+    const bool seeded = !dirty_list_[node].empty();
     const bool forced = node_forced_[node] == epoch_;
     if (!full && !seeded && !forced) continue;
     if (full) dirty_list_[node].clear();  // drop marks a truncated solve left
@@ -293,8 +208,8 @@ void MinTriangSolver::RepairIndexed(bool full) {
     }
 
     // Re-pick the node optimum with one range-min query. The tree's
-    // first-minimum tie-break is the scan's "first strict improvement
-    // wins", so choice_ stays byte-identical across solver paths.
+    // first-minimum tie-break is the full DP's "first strict improvement
+    // wins", so ties resolve to the smallest k.
     ++num_range_queries_;
     const int min_k = cand_trees_[node].MinIndex();
     const bool feasible = min_k >= 0 && !std::isinf(values[min_k]);
@@ -353,11 +268,7 @@ std::optional<Triangulation> MinTriangSolver::Solve(
     if (!full && !hosts_built_) BuildHosts();
     ++epoch_;
     ApplyConstraintDelta(exc_added, inc_added, exc_removed, inc_removed, full);
-    if (options_.use_candidate_index) {
-      RepairIndexed(full);
-    } else {
-      RepairScan(full);
-    }
+    Repair(full);
     if (truncated_) {
       // The sweep stopped midway: value_/choice_ may mix old and new
       // epochs. The blocked counters and cached candidate values are still

@@ -15,17 +15,6 @@
 
 namespace mintri {
 
-struct SolverOptions {
-  /// Keep each block's candidate values in a range-min segment tree
-  /// (util/range_min_tree.h) so constraint deltas and child-change cascades
-  /// are O(log n) point updates + range-min queries instead of candidate-
-  /// list scans. The tree's first-minimum tie-break matches the scan's
-  /// "first strict improvement wins" rule, so both paths produce
-  /// byte-identical tables, choices, and enumeration order — the list-scan
-  /// path stays available (false) as the differential-testing baseline.
-  bool use_candidate_index = true;
-};
-
 /// The stateful MinTriang⟨κ[I,X]⟩ engine behind MinTriang and RankedTriang:
 /// the block DP of Figure 3 with its per-block candidate/value/choice tables
 /// kept alive between calls, so that consecutive solves under *nearby*
@@ -48,25 +37,21 @@ struct SolverOptions {
 ///  - a block whose DP value changed re-dirties exactly the (host, Ω)
 ///    candidates it appears under, cascading up the ascending block order.
 ///
-/// With SolverOptions::use_candidate_index (the default) each block's
-/// candidate values additionally live in the leaves of a range-min segment
-/// tree: a constraint delta or child-change touches a candidate via an
-/// O(log n) point update, and re-finding the block optimum is a range-min
-/// query at the tree root instead of a scan over the whole candidate list —
-/// the per-repair work drops from O(candidates of every touched block) to
-/// O(touched candidates · log n). Child-change cascades walk exact
-/// (host, candidate) reverse edges, so a changed block dirties only the
-/// candidates it actually appears under. The tree's first-minimum
-/// tie-break keeps the choice tables — and with them the ranked
-/// enumeration order — byte-identical to the list-scan path.
+/// Each block's candidate values live in the leaves of a range-min segment
+/// tree (util/range_min_tree.h): a constraint delta or child change touches
+/// a candidate via an O(log n) point update, and re-finding the block
+/// optimum is a range-min query at the tree root instead of a scan over the
+/// whole candidate list, so the per-repair work is O(touched candidates ·
+/// log n). The tree's first-minimum tie-break is the full DP's "first
+/// strict improvement wins" rule.
 ///
 /// The repaired tables are *identical* to a from-scratch DP (same values,
 /// same first-minimum choice per block), so results are byte-for-byte equal
 /// to MinTriang over ConstrainedCost — the differential test suite pins
-/// this on randomized constraint walks, for both solver paths. This is what
-/// makes the k constrained MinTriang calls per RankedTriang output cheap:
-/// sibling Lawler–Murty partitions differ by O(1) separators, so each call
-/// repairs a handful of blocks instead of re-filling every table (the same
+/// this on randomized constraint walks. This is what makes the k
+/// constrained MinTriang calls per RankedTriang output cheap: sibling
+/// Lawler–Murty partitions differ by O(1) separators, so each call repairs
+/// a handful of blocks instead of re-filling every table (the same
 /// amortization argument the paper uses against CKK for initialization,
 /// applied to the per-result optimizer calls).
 ///
@@ -77,8 +62,7 @@ struct SolverOptions {
 /// what the MinTriang wrapper does.)
 class MinTriangSolver {
  public:
-  MinTriangSolver(const TriangulationContext& ctx, const BagCost& cost,
-                  const SolverOptions& options = {});
+  MinTriangSolver(const TriangulationContext& ctx, const BagCost& cost);
 
   /// Minimum-κ[I,X] minimal triangulation of the context's graph, or
   /// std::nullopt when no finite-cost triangulation satisfies [I,X] (or the
@@ -111,16 +95,14 @@ class MinTriangSolver {
   /// candidates short-circuit to ∞ before it).
   long long num_combine_calls() const { return num_combine_calls_; }
 
-  /// Segment-tree point updates (indexed path only; 0 under the list scan).
+  /// Segment-tree point updates.
   long long num_index_updates() const { return num_index_updates_; }
 
-  /// Range-min queries that re-picked a block optimum (indexed path only).
+  /// Range-min queries that re-picked a block optimum.
   long long num_range_queries() const { return num_range_queries_; }
 
   /// Number of (block, Ω) candidates in the DP (root included).
   size_t num_candidates_total() const { return num_candidates_total_; }
-
-  const SolverOptions& options() const { return options_; }
 
  private:
   // Node ids: 0..B-1 are the context's blocks (ascending order), B is the
@@ -161,20 +143,17 @@ class MinTriangSolver {
                             const std::vector<int>& removed_exc,
                             const std::vector<int>& removed_inc, bool full);
 
-  // Stamps (node, k) dirty for this epoch (idempotent) and, on the indexed
-  // path, appends it to the node's pending re-evaluation list.
+  // Stamps (node, k) dirty for this epoch (idempotent) and appends it to
+  // the node's pending re-evaluation list.
   void MarkDirty(int node, int k);
 
   // Deadline poll (rate-limited to one clock read per 64 ticks). Returns
   // true — and latches truncated_ — once the budget is gone.
   bool PollDeadline();
 
-  // The table-repair forward passes (root last): the historical list-scan
-  // pass and the segment-tree-indexed pass. Both leave identical
-  // value_/choice_ tables; they differ only in how dirty candidates are
-  // found and how each block's optimum is re-picked.
-  void RepairScan(bool full);
-  void RepairIndexed(bool full);
+  // The table-repair forward pass (root last): re-evaluates the dirty
+  // candidates and re-picks each touched block's optimum.
+  void Repair(bool full);
 
   // Evaluates candidate k of `node` under the current constraints (∞ when a
   // child is infeasible or [I,X] is violated at this bag).
@@ -186,11 +165,10 @@ class MinTriangSolver {
 
   const TriangulationContext& ctx_;
   const BagCost& cost_;
-  SolverOptions options_;
   VertexSet empty_separator_;
   VertexSet all_vertices_;
 
-  // Builds hosts_ / host_cands_, deferred to the first incremental solve (a
+  // Builds host_cands_, deferred to the first incremental solve (a
   // one-shot full pass never needs the reverse edges).
   void BuildHosts();
 
@@ -198,15 +176,12 @@ class MinTriangSolver {
   std::vector<std::vector<CostValue>> cand_values_;  // per node, per cand
   std::vector<CostValue> value_;
   std::vector<int> choice_;
-  // Per-node range-min tree over cand_values_ (indexed path; built by the
-  // first full pass, point-updated by repairs).
+  // Per-node range-min tree over cand_values_ (built by the first full
+  // pass, point-updated by repairs).
   std::vector<RangeMinTree> cand_trees_;
-  // hosts_[b]: nodes with a candidate having block b among its children —
-  // the reverse DP edges the scan-path repair cascades along.
-  std::vector<std::vector<int>> hosts_;
   // host_cands_[b]: the exact (host node, candidate k) pairs with block b
   // among candidate k's children — the candidate-granular reverse edges the
-  // indexed repair dirties directly (no per-candidate child scan).
+  // repair dirties directly (no per-candidate child scan).
   std::vector<std::vector<std::pair<int, int>>> host_cands_;
   bool hosts_built_ = false;
 
@@ -228,11 +203,11 @@ class MinTriangSolver {
   // Epoch-stamped dirtiness (a stamp equal to epoch_ means "this solve").
   uint32_t epoch_ = 0;
   std::vector<std::vector<uint32_t>> cand_dirty_;  // per node, per cand
-  std::vector<std::vector<int>> dirty_list_;  // indexed path: pending evals
-  std::vector<uint32_t> node_seeded_;    // some candidate became dirty
-  std::vector<uint32_t> node_forced_;    // some candidate was forced to ∞
-  std::vector<uint32_t> node_touched_;   // some child's value changed
-  std::vector<uint32_t> value_changed_;  // this node's value changed
+  // Pending re-evaluations per node. Only repairs fill them, and a pass
+  // empties each node it visits (a full pass also drops what a truncated
+  // repair left), so during a repair non-empty means "seeded this solve".
+  std::vector<std::vector<int>> dirty_list_;
+  std::vector<uint32_t> node_forced_;  // some candidate was forced to ∞
 
   const Deadline* deadline_ = nullptr;
   bool truncated_ = false;

@@ -80,7 +80,6 @@ TEST(CliTest, ErrorsAreReported) {
   EXPECT_EQ(Invoke({"--top=1O"}, kC4).code, 1);
   EXPECT_EQ(Invoke({"--bound="}, kC4).code, 1);
   EXPECT_EQ(Invoke({"--time-limit=3O"}, kC4).code, 1);
-  EXPECT_EQ(Invoke({"--solver=bogus"}, kC4).code, 1);
   EXPECT_EQ(Invoke({}, "not a graph").code, 1);
   EXPECT_EQ(Invoke({"nonexistent_file.gr"}, "").code, 1);
 }
@@ -98,36 +97,29 @@ TEST(CliTest, NumericFlagOverflowIsRejected) {
       << bad.err;
 }
 
-TEST(CliTest, SolverFlagSelectsRepairEngineWithIdenticalOutput) {
-  CliResult indexed = Invoke({"--cost=fill", "--top=10", "--solver=indexed"},
-                             kC4);
-  CliResult scan = Invoke({"--cost=fill", "--top=10", "--solver=scan"}, kC4);
-  CliResult implicit = Invoke({"--cost=fill", "--top=10"}, kC4);
-  EXPECT_EQ(indexed.code, 0) << indexed.err;
-  EXPECT_EQ(scan.code, 0) << scan.err;
-  // Both engines print byte-identical streams; the default is the index.
-  EXPECT_EQ(indexed.out, scan.out);
-  EXPECT_EQ(indexed.out, implicit.out);
+// There is one repair engine, so no flag selects it: `mintri rank` and
+// `mintri bench` reject an engine choice as an unknown option.
+const std::string kSolverFlag = std::string("--") + "solver=";
 
-  // --stats names the engine and its counters; the scan path reports zero
-  // index activity.
-  CliResult istats =
-      Invoke({"--cost=fill", "--top=10", "--solver=indexed", "--stats"}, kC4);
-  EXPECT_EQ(istats.code, 0) << istats.err;
-  EXPECT_NE(istats.err.find("solver[indexed]: optimizer_calls="),
+TEST(CliTest, SolverFlagIsGoneAndStatsNameTheOneEngine) {
+  for (const char* engine : {"indexed", "scan"}) {
+    const std::string flag = kSolverFlag + engine;
+    CliResult r = Invoke({"--cost=fill", "--top=10", flag}, kC4);
+    EXPECT_EQ(r.code, 1) << flag;
+    EXPECT_NE(r.err.find("unknown option: " + flag), std::string::npos)
+        << r.err;
+  }
+
+  // --stats reports the solver's counters, including the segment-tree
+  // activity every repair goes through.
+  CliResult stats = Invoke({"--cost=fill", "--top=10", "--stats"}, kC4);
+  EXPECT_EQ(stats.code, 0) << stats.err;
+  EXPECT_NE(stats.err.find("\nsolver: optimizer_calls="), std::string::npos)
+      << stats.err;
+  EXPECT_EQ(stats.err.find("solver["), std::string::npos) << stats.err;
+  EXPECT_EQ(stats.err.find("index_updates=0 range_queries=0"),
             std::string::npos)
-      << istats.err;
-  EXPECT_EQ(istats.err.find("index_updates=0 range_queries=0"),
-            std::string::npos)
-      << istats.err;
-  CliResult sstats =
-      Invoke({"--cost=fill", "--top=10", "--solver=scan", "--stats"}, kC4);
-  EXPECT_EQ(sstats.code, 0) << sstats.err;
-  EXPECT_NE(sstats.err.find("solver[scan]:"), std::string::npos)
-      << sstats.err;
-  EXPECT_NE(sstats.err.find("index_updates=0 range_queries=0"),
-            std::string::npos)
-      << sstats.err;
+      << stats.err;
 }
 
 TEST(CliTest, ThreadsFlagValidation) {
@@ -311,32 +303,26 @@ TEST(CliTest, BenchSmokeEmitsSchemaShapedJson) {
        {"\"schema_version\": 2", "\"git_sha\"", "\"time_scale\"",
         "\"smoke\": true", "\"suites\": [\"minseps\"]", "\"entries\"",
         "\"results_per_sec\"", "\"wall_ms\"", "\"status\"",
-        "\"threads\": 1", "\"solver\"", "\"candidate_evals\"",
+        "\"threads\": 1", "\"candidate_evals\"",
         "\"index_updates\"", "\"range_queries\""}) {
     EXPECT_NE(r.out.find(key), std::string::npos) << "missing " << key;
   }
 }
 
-TEST(CliTest, BenchRankedSweepsBothSolverPaths) {
-  EXPECT_EQ(Invoke({"bench", "--solver=bogus"}, "").code, 1);
+TEST(CliTest, BenchRankedRunsEachPointOnce) {
+  CliResult flag = Invoke({"bench", kSolverFlag + "scan"}, "");
+  EXPECT_EQ(flag.code, 1);
+  EXPECT_NE(flag.err.find("unknown option: " + kSolverFlag + "scan"),
+            std::string::npos)
+      << flag.err;
 
-  // The default ranked sweep emits one entry per repair engine at each
-  // point — the report carries its own interleaved before/after comparison.
+  // One entry per (threads, graph) point, with no per-engine label.
   CliResult r = Invoke(
       {"bench", "ranked", "--smoke", "--quiet", "--threads=1", "--out=-"},
       "");
   EXPECT_EQ(r.code, 0) << r.err;
-  EXPECT_NE(r.out.find("\"solver\": \"indexed\""), std::string::npos)
-      << r.out;
-  EXPECT_NE(r.out.find("\"solver\": \"scan\""), std::string::npos) << r.out;
-
-  // Pinning one engine drops the other from the report.
-  CliResult pinned = Invoke({"bench", "ranked", "--smoke", "--quiet",
-                             "--threads=1", "--solver=scan", "--out=-"},
-                            "");
-  EXPECT_EQ(pinned.code, 0) << pinned.err;
-  EXPECT_NE(pinned.out.find("\"solver\": \"scan\""), std::string::npos);
-  EXPECT_EQ(pinned.out.find("\"solver\": \"indexed\""), std::string::npos);
+  EXPECT_NE(r.out.find("\"suite\": \"ranked\""), std::string::npos) << r.out;
+  EXPECT_EQ(r.out.find("\"solver\""), std::string::npos) << r.out;
 }
 
 }  // namespace

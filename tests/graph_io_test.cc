@@ -25,6 +25,9 @@ TEST(GraphIoTest, RejectsMalformed) {
   EXPECT_FALSE(ParseDimacsString("1 2\n").has_value());       // no header
   EXPECT_FALSE(ParseDimacsString("p tw 2 1\n1 5\n").has_value());  // range
   EXPECT_FALSE(ParseDimacsString("p tw x y\n").has_value());
+  EXPECT_FALSE(  // a second header must not drop the edges read so far
+      ParseDimacsString("p tw 3 1\n1 2\np tw 5 0\n").has_value());
+  EXPECT_FALSE(ParseDimacsString("p tw 3 1\n1 2 3\n").has_value());  // 3 ids
 }
 
 TEST(GraphIoTest, RoundTrips) {
@@ -36,19 +39,6 @@ TEST(GraphIoTest, RoundTrips) {
   auto parsed = ParseDimacsString(out.str());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(*parsed, g);
-}
-
-TEST(GraphIoTest, ParsesEdgeList) {
-  std::istringstream in("3\n0 1\n1 2\n");
-  auto g = ParseEdgeList(in);
-  ASSERT_TRUE(g.has_value());
-  EXPECT_EQ(g->NumVertices(), 3);
-  EXPECT_EQ(g->NumEdges(), 2);
-}
-
-TEST(GraphIoTest, EdgeListRejectsOutOfRange) {
-  std::istringstream in("2\n0 3\n");
-  EXPECT_FALSE(ParseEdgeList(in).has_value());
 }
 
 }  // namespace

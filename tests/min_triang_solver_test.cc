@@ -106,15 +106,21 @@ void MutateConstraints(Rng& rng, int num_seps, std::vector<int>* include,
 }
 
 // Random walk over constraint sets: solves incrementally and cross-checks
-// against the full DP at every step.
+// against the full DP at every step. A step's repair re-evaluates each
+// candidate at most once, so it never evaluates more than a full pass, and
+// every block optimum is re-picked through the segment tree.
 void DifferentialWalk(const TriangulationContext& ctx, const BagCost& cost,
                       const std::string& name, uint64_t seed, int steps) {
   MinTriangSolver solver(ctx, cost);
   Rng rng(seed);
   const int num_seps = static_cast<int>(ctx.minimal_separators().size());
+  const long long full_pass =
+      static_cast<long long>(solver.num_candidates_total());
   std::vector<int> include, exclude;
   for (int step = 0; step < steps; ++step) {
     MutateConstraints(rng, num_seps, &include, &exclude);
+    const std::string where = name + " step " + std::to_string(step);
+    const long long evals_before = solver.num_candidate_evals();
     std::vector<VertexSet> include_sets, exclude_sets;
     for (int id : include) {
       include_sets.push_back(ctx.minimal_separators()[id]);
@@ -125,9 +131,11 @@ void DifferentialWalk(const TriangulationContext& ctx, const BagCost& cost,
     ConstrainedCost constrained(cost, std::move(include_sets),
                                 std::move(exclude_sets));
     ExpectIdentical(solver.Solve(include, exclude), MinTriang(ctx, constrained),
-                    name + " step " + std::to_string(step));
+                    where);
     if (::testing::Test::HasFatalFailure()) return;
+    EXPECT_LE(solver.num_candidate_evals() - evals_before, full_pass) << where;
   }
+  EXPECT_GT(solver.num_range_queries(), 0) << name;
 }
 
 TEST(MinTriangSolverTest, DifferentialOnFamilyCorpus) {
@@ -246,45 +254,20 @@ TEST(MinTriangSolverTest, SiblingExpansionIsCheaperThanOneFullPass) {
       << " Combine calls vs " << full_pass << " for one full pass";
 }
 
-// Lockstep walk of the two repair engines: at every delta step the
-// segment-tree-indexed solver and the list-scan baseline must return
-// byte-identical triangulations, and the index must never evaluate more
-// candidates than the scan (it may only skip work, never add it).
-void LockstepWalk(const TriangulationContext& ctx, const BagCost& cost,
-                  const std::string& name, uint64_t seed, int steps) {
-  SolverOptions scan_options;
-  scan_options.use_candidate_index = false;
-  MinTriangSolver indexed(ctx, cost);
-  MinTriangSolver scan(ctx, cost, scan_options);
-  Rng rng(seed);
-  const int num_seps = static_cast<int>(ctx.minimal_separators().size());
-  std::vector<int> include, exclude;
-  for (int step = 0; step < steps; ++step) {
-    MutateConstraints(rng, num_seps, &include, &exclude);
-    const std::string where = name + " step " + std::to_string(step);
-    ExpectIdentical(indexed.Solve(include, exclude),
-                    scan.Solve(include, exclude), where);
-    if (::testing::Test::HasFatalFailure()) return;
-    EXPECT_LE(indexed.num_candidate_evals(), scan.num_candidate_evals())
-        << where;
-    EXPECT_EQ(scan.num_index_updates(), 0) << where;
-    EXPECT_EQ(scan.num_range_queries(), 0) << where;
-  }
-  EXPECT_GT(indexed.num_range_queries(), 0) << name;
-}
-
-TEST(MinTriangSolverTest, IndexedAndScanPathsAreLockstepIdentical) {
+// The walks below use their own seeds, for more steps than the
+// differential tests above: more coverage of the per-step evaluation bound.
+TEST(MinTriangSolverTest, RepairStepsNeverOutworkAFullPass) {
   ASSERT_FALSE(Corpus().empty());
   WidthCost width;
   FillInCost fill;
   for (const CorpusGraph& cg : Corpus()) {
-    LockstepWalk(cg.ctx, width, cg.name + "/width", 0xcafe + 1, 12);
-    LockstepWalk(cg.ctx, fill, cg.name + "/fill", 0xcafe + 2, 12);
+    DifferentialWalk(cg.ctx, width, cg.name + "/width", 0xcafe + 1, 12);
+    DifferentialWalk(cg.ctx, fill, cg.name + "/fill", 0xcafe + 2, 12);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
-TEST(MinTriangSolverTest, IndexedAndScanLockstepOnBoundedWidthContexts) {
+TEST(MinTriangSolverTest, RepairStepsNeverOutworkAFullPassOnBoundedWidth) {
   WidthCost width;
   for (int seed = 0; seed < 4; ++seed) {
     Graph g = workloads::ConnectedErdosRenyi(12, 0.25, 43000 + seed);
@@ -294,10 +277,10 @@ TEST(MinTriangSolverTest, IndexedAndScanLockstepOnBoundedWidthContexts) {
       auto ctx = TriangulationContext::Build(g, options);
       ASSERT_TRUE(ctx.has_value());
       if (ctx->minimal_separators().empty()) continue;
-      LockstepWalk(*ctx, width,
-                   "bounded seed " + std::to_string(seed) + " b=" +
-                       std::to_string(bound),
-                   0xbead + seed, 8);
+      DifferentialWalk(*ctx, width,
+                       "bounded seed " + std::to_string(seed) + " b=" +
+                           std::to_string(bound),
+                       0xbead + seed, 8);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
