@@ -1,6 +1,6 @@
 // The benchmark-to-JSON runner: executes the named suites (minseps, pmc,
-// enum) over the src/workloads families and emits BENCH_core.json, the
-// repo's tracked perf artifact (uploaded by the CI bench-smoke job).
+// enum, ranked, appcost, huge) and emits BENCH_core.json, the repo's
+// tracked perf artifact (uploaded by the CI bench-smoke job).
 //
 // This is a thin alias for `mintri bench`: both front ends share
 // src/bench/bench_suites, so numbers and schema cannot drift apart.

@@ -119,40 +119,6 @@ inline EnumRun RunCkk(const Graph& g, double budget) {
   return run;
 }
 
-/// MinSep-then-PMC tractability probe for Fig. 5.
-enum class Tractability { kTerminated, kMsTerminated, kNotTerminated };
-
-struct TractabilityProbe {
-  Tractability status = Tractability::kNotTerminated;
-  size_t num_separators = 0;
-  size_t num_pmcs = 0;
-  double minsep_seconds = 0;
-  double pmc_seconds = 0;
-};
-
-inline TractabilityProbe ProbeGraph(const Graph& g) {
-  TractabilityProbe probe;
-  WallTimer timer;
-  EnumerationLimits sep_limits;
-  sep_limits.time_limit_seconds = MinSepBudget();
-  sep_limits.max_results = kMaxSeparators;
-  auto seps = ListMinimalSeparators(g, sep_limits);
-  probe.minsep_seconds = timer.Seconds();
-  if (seps.status != EnumerationStatus::kComplete) return probe;
-  probe.num_separators = seps.separators.size();
-  probe.status = Tractability::kMsTerminated;
-
-  timer.Reset();
-  PmcOptions pmc_options;
-  pmc_options.limits.time_limit_seconds = PmcBudget();
-  auto pmcs = ListPotentialMaximalCliques(g, seps.separators, pmc_options);
-  probe.pmc_seconds = timer.Seconds();
-  if (pmcs.status != EnumerationStatus::kComplete) return probe;
-  probe.num_pmcs = pmcs.pmcs.size();
-  probe.status = Tractability::kTerminated;
-  return probe;
-}
-
 }  // namespace bench
 }  // namespace mintri
 

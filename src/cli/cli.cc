@@ -11,6 +11,7 @@
 #include "cost/standard_costs.h"
 #include "enumeration/ckk.h"
 #include "enumeration/tiered_enum.h"
+#include "enumeration/tree_decomposition.h"
 #include "graph/graph_io.h"
 #include "parallel/thread_pool.h"
 

@@ -6,15 +6,7 @@
 namespace mintri {
 
 CkkEnumerator::CkkEnumerator(const Graph& g, const BagCost* cost)
-    : CkkEnumerator(g, cost,
-                    [](const Graph& input) { return LbTriangMinDegree(input); }) {}
-
-CkkEnumerator::CkkEnumerator(const Graph& g, const BagCost* cost,
-                             Triangulator triangulator)
-    : g_(g),
-      cost_(cost),
-      triangulator_(std::move(triangulator)),
-      separator_stream_(g) {
+    : g_(g), cost_(cost), separator_stream_(g) {
   Offer(Extend({}));
 }
 
@@ -22,7 +14,7 @@ Triangulation CkkEnumerator::Extend(const std::vector<VertexSet>& seed) {
   Graph saturated = g_;
   for (const VertexSet& s : seed) saturated.SaturateSet(s);
   ++num_triangulator_calls_;
-  Graph h = triangulator_(saturated);
+  Graph h = LbTriangMinDegree(saturated);
   Triangulation t = TriangulationFromChordal(g_, std::move(h));
   if (cost_ != nullptr) t.cost = cost_->Evaluate(g_, t.bags);
   return t;

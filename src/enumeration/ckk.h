@@ -71,18 +71,10 @@ class FillSetDedup {
 ///  - there is NO guarantee on the order of results.
 class CkkEnumerator {
  public:
-  /// The black-box minimal triangulator: must return a minimal
-  /// triangulation of its input for every input. LB-Triang (min-degree) is
-  /// the default, matching the paper's experiments; McsM from
-  /// chordal/mcs_m.h is a drop-in alternative.
-  using Triangulator = std::function<Graph(const Graph&)>;
-
   /// If `cost` is non-null, each produced Triangulation carries
   /// cost->Evaluate(g, bags) in its `cost` field (CKK itself ignores costs).
   /// Both references must outlive the enumerator.
   explicit CkkEnumerator(const Graph& g, const BagCost* cost = nullptr);
-  CkkEnumerator(const Graph& g, const BagCost* cost,
-                Triangulator triangulator);
 
   /// The next minimal triangulation (arbitrary order), or std::nullopt when
   /// all minimal triangulations have been produced.
@@ -104,7 +96,6 @@ class CkkEnumerator {
 
   const Graph& g_;
   const BagCost* cost_;
-  Triangulator triangulator_;
   MinimalSeparatorEnumerator separator_stream_;
   std::deque<Triangulation> pending_;
   std::vector<std::vector<VertexSet>> printed_separator_sets_;

@@ -112,12 +112,4 @@ std::optional<Triangulation> RankedTriangulationEnumerator::Next() {
   return std::move(top.triangulation);
 }
 
-std::optional<RankedTreeDecompositionEnumerator::Result>
-RankedTreeDecompositionEnumerator::Next() {
-  std::optional<Triangulation> t = inner_.Next();
-  if (!t.has_value()) return std::nullopt;
-  Result r{CliqueTreeOf(*t), t->cost};
-  return r;
-}
-
 }  // namespace mintri

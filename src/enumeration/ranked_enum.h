@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "cost/bag_cost.h"
-#include "enumeration/tree_decomposition.h"
 #include "triang/context.h"
 #include "triang/min_triang_solver.h"
 
@@ -39,6 +38,11 @@ namespace mintri {
 /// Pull-based: Next() returns the next-cheapest minimal triangulation, or
 /// std::nullopt when the enumeration is exhausted, so callers can stop at
 /// any time (the "anytime" usage the paper motivates).
+///
+/// Ranked proper tree decompositions (Proposition 6.1) are CliqueTreeOf
+/// (enumeration/tree_decomposition.h) applied to each result: a bag cost
+/// gives every clique tree of one triangulation the same cost, so the
+/// canonical clique tree is a legitimate ranked representative.
 class RankedTriangulationEnumerator {
  public:
   /// `ctx` and `cost` must outlive the enumerator. Every optimizer call
@@ -111,28 +115,6 @@ class RankedTriangulationEnumerator {
   long long num_optimizer_calls_ = 0;
   bool exhausted_ = false;
   bool truncated_ = false;
-};
-
-/// Ranked enumeration of proper tree decompositions (Proposition 6.1): the
-/// clique tree of each minimal triangulation, by increasing cost. (Bag costs
-/// assign every clique tree of the same triangulation the same cost, so the
-/// canonical clique tree is a legitimate ranked representative; all clique
-/// trees of a given triangulation can be expanded with
-/// EnumerateCliqueTrees from clique_tree_enum.h.)
-class RankedTreeDecompositionEnumerator {
- public:
-  RankedTreeDecompositionEnumerator(const TriangulationContext& ctx,
-                                    const BagCost& cost)
-      : inner_(ctx, cost) {}
-
-  struct Result {
-    TreeDecomposition decomposition;
-    CostValue cost;
-  };
-  std::optional<Result> Next();
-
- private:
-  RankedTriangulationEnumerator inner_;
 };
 
 }  // namespace mintri

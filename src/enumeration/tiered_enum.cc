@@ -58,7 +58,7 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
     }
 
     // Tier 0: stream-safe reduction + atom decomposition of this component.
-    PreprocessResult pre = Preprocess(sub, tier_options.preprocess);
+    PreprocessResult pre = Preprocess(sub);
     preprocess_info_.vertices_removed += pre.info.vertices_removed;
     preprocess_info_.num_atoms += pre.info.num_atoms;
     preprocess_info_.seconds += pre.info.seconds;
@@ -81,7 +81,7 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
     }
     for (const VertexSet& atom : pre.atoms) {
       std::vector<int> atom_old_to_new;
-      Graph asub = pre.reduced.InducedSubgraph(atom, &atom_old_to_new);
+      Graph asub = sub.InducedSubgraph(atom, &atom_old_to_new);
       std::vector<int> old_of_new(asub.NumVertices());
       atom.ForEach([&](int v) {
         old_of_new[atom_old_to_new[v]] = comp_old_of_new[v];
@@ -91,9 +91,8 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
     }
   }
 
-  // Fold the Tier-0 summary into the aggregate build info (the ISSUE's
-  // "PreprocessInfo that ContextBuildInfo::Accumulate folds in": unit build
-  // infos were already accumulated above, these are the tier-0 extras).
+  // Fold the Tier-0 summary into the aggregate build info: unit build infos
+  // were already accumulated above, these are the Tier-0 extras.
   init_info_.reduced_vertices =
       static_cast<size_t>(preprocess_info_.vertices_removed);
   init_info_.num_atoms = static_cast<size_t>(preprocess_info_.num_atoms);

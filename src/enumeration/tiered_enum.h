@@ -44,10 +44,6 @@ struct TierOptions {
   };
   Mode mode = Mode::kAuto;
 
-  /// Tier-0 knobs; only applied when `decomposable_cost` (the defaults are
-  /// the stream-safe reductions).
-  PreprocessOptions preprocess;
-
   /// Set by the caller per cost (see IsTierDecomposableCost). When false
   /// (and always in Mode::kExact), Tier 0 is skipped and the units are
   /// exactly the connected components.

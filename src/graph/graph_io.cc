@@ -7,13 +7,16 @@ namespace mintri {
 std::optional<Graph> ParseDimacs(std::istream& in) {
   std::string line;
   std::optional<Graph> g;
+  long long declared_edges = 0;
+  long long edge_lines = 0;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == 'c') continue;
     std::istringstream ls(line);
     if (line[0] == 'p') {
       std::string p, format;
-      int n = 0, m = 0;
-      if (g.has_value() || !(ls >> p >> format >> n >> m) || n < 0) {
+      int n = 0;
+      if (g.has_value() || !(ls >> p >> format >> n >> declared_edges) ||
+          n < 0) {
         return std::nullopt;
       }
       g.emplace(n);
@@ -23,11 +26,16 @@ std::optional<Graph> ParseDimacs(std::istream& in) {
     int u = 0, v = 0;
     std::string extra;
     if (!(ls >> u >> v) || (ls >> extra)) return std::nullopt;
-    if (u < 1 || v < 1 || u > g->NumVertices() || v > g->NumVertices()) {
+    if (u < 1 || v < 1 || u > g->NumVertices() || v > g->NumVertices() ||
+        u == v) {
       return std::nullopt;
     }
     g->AddEdge(u - 1, v - 1);
+    ++edge_lines;
   }
+  // The header's edge count is the number of edge lines (a repeated line
+  // counts again), so a truncated or padded file is caught.
+  if (g.has_value() && edge_lines != declared_edges) return std::nullopt;
   return g;
 }
 

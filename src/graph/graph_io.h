@@ -14,8 +14,9 @@ namespace mintri {
 ///   c comment lines
 ///   p tw <n> <m>
 ///   <u> <v>            (1-based vertex ids)
-/// Returns std::nullopt on malformed input, including a second `p` line
-/// and an edge line with more than two fields.
+/// Returns std::nullopt on malformed input, including a second `p` line,
+/// an edge line with more than two fields, a self-loop, and a header <m>
+/// that differs from the number of edge lines (a repeated line counts).
 std::optional<Graph> ParseDimacs(std::istream& in);
 std::optional<Graph> ParseDimacsString(const std::string& text);
 

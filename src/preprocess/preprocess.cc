@@ -11,22 +11,6 @@ namespace mintri {
 
 namespace {
 
-/// True iff nb \ {u} is a clique for some u ∈ nb (so eliminating the vertex
-/// whose neighborhood nb is and saturating nb adds fill only at u).
-bool IsAlmostSimplicialNeighborhood(const Graph& g, const VertexSet& nb) {
-  bool found = false;
-  nb.ForEachWhile([&](int u) {
-    VertexSet rest = nb;
-    rest.Erase(u);
-    if (g.IsClique(rest)) {
-      found = true;
-      return false;
-    }
-    return true;
-  });
-  return found;
-}
-
 /// Clique-minimal-separator candidates for the connected part: the
 /// clique-tree adhesions of one minimal triangulation of g[part] that are
 /// cliques in g. By Berry–Pogorelcnik–Simonet these are exactly the clique
@@ -105,26 +89,6 @@ void DecomposeConnectedPart(const Graph& g, VertexSet part,
 
 }  // namespace
 
-int DegeneracyLowerBound(const Graph& g) {
-  const int n = g.NumVertices();
-  VertexSet remaining = g.Vertices();
-  int degeneracy = 0;
-  for (int step = 0; step < n; ++step) {
-    int best = -1;
-    int best_deg = n + 1;
-    remaining.ForEach([&](int v) {
-      int d = g.Neighbors(v).Intersect(remaining).Count();
-      if (d < best_deg) {
-        best_deg = d;
-        best = v;
-      }
-    });
-    degeneracy = std::max(degeneracy, best_deg);
-    remaining.Erase(best);
-  }
-  return degeneracy;
-}
-
 std::vector<VertexSet> CliqueMinimalSeparatorAtoms(const Graph& g) {
   std::vector<VertexSet> atoms;
   for (const VertexSet& comp : g.ConnectedComponents()) {
@@ -134,57 +98,36 @@ std::vector<VertexSet> CliqueMinimalSeparatorAtoms(const Graph& g) {
   return atoms;
 }
 
-PreprocessResult Preprocess(const Graph& g, const PreprocessOptions& options) {
+PreprocessResult Preprocess(const Graph& g) {
   WallTimer timer;
   PreprocessResult r;
   const int n = g.NumVertices();
   r.kept = g.Vertices();
   r.reduced = g;
 
-  if (options.reduce_simplicial || options.reduce_almost_simplicial) {
-    const int low =
-        options.reduce_almost_simplicial ? DegeneracyLowerBound(g) : 0;
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (int v = 0; v < n; ++v) {
-        if (!r.kept.Contains(v)) continue;
-        VertexSet nb = r.reduced.Neighbors(v).Intersect(r.kept);
-        bool eliminate = false;
-        if (options.reduce_simplicial && r.reduced.IsClique(nb)) {
-          eliminate = true;
-        } else if (options.reduce_almost_simplicial &&
-                   nb.Count() <= low &&
-                   IsAlmostSimplicialNeighborhood(r.reduced, nb)) {
-          // Width-safe only because deg(v) is at most the treewidth lower
-          // bound; the saturation commits to fill, so this branch is never
-          // taken by the stream-preserving pipeline defaults.
-          r.reduced.SaturateSet(nb);
-          eliminate = true;
-        }
-        if (eliminate) {
-          EliminatedVertex ev;
-          ev.vertex = v;
-          ev.bag = nb;
-          ev.bag.Insert(v);
-          r.eliminated.push_back(std::move(ev));
-          r.kept.Erase(v);
-          progress = true;
-        }
-      }
+  bool progress = true;
+  while (progress) {
+    progress = false;
+    for (int v = 0; v < n; ++v) {
+      if (!r.kept.Contains(v)) continue;
+      VertexSet nb = g.Neighbors(v).Intersect(r.kept);
+      if (!g.IsClique(nb)) continue;
+      EliminatedVertex ev;
+      ev.vertex = v;
+      ev.bag = std::move(nb);
+      ev.bag.Insert(v);
+      r.eliminated.push_back(std::move(ev));
+      r.kept.Erase(v);
+      progress = true;
     }
   }
 
   if (!r.kept.Empty()) {
     ComponentScanner scanner;
     std::vector<VertexSet> comps;
-    scanner.Components(r.reduced, r.kept.Complement(), &comps);
+    scanner.Components(g, r.kept.Complement(), &comps);
     for (const VertexSet& comp : comps) {
-      if (options.decompose_atoms) {
-        DecomposeConnectedPart(r.reduced, comp, &r.atoms);
-      } else {
-        r.atoms.push_back(comp);
-      }
+      DecomposeConnectedPart(g, comp, &r.atoms);
     }
     std::sort(r.atoms.begin(), r.atoms.end());
   }

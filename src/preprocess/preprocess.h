@@ -7,31 +7,6 @@
 
 namespace mintri {
 
-/// Tier-0 options (the reduce stage of the tiered pipeline). The defaults
-/// are exactly the transformations that are *stream-safe*: they preserve the
-/// set of minimal triangulations up to the recorded lift, so the tiered
-/// enumerator can replay the full ranked stream of the original graph from
-/// the reduced one.
-struct PreprocessOptions {
-  /// Repeatedly eliminate simplicial vertices (N(v) a clique). Stream-safe:
-  /// v lies in the unique maximal clique N[v] of every minimal triangulation
-  /// and contributes no fill, so MT(G) is in bijection with MT(G - v).
-  bool reduce_simplicial = true;
-
-  /// Almost-simplicial elimination (N(v) \ {u} a clique, deg(v) bounded by a
-  /// treewidth lower bound). This is the classic *treewidth-safe* rule: it
-  /// preserves the optimal width, but NOT the set of minimal triangulations
-  /// (on C4 it commits to one of the two diagonals), so it is not
-  /// stream-safe and the solve pipeline never enables it. Exposed for
-  /// width-only workflows and exercised by the unit tests.
-  bool reduce_almost_simplicial = false;
-
-  /// Split the reduced graph into its clique-minimal-separator atoms
-  /// (Tarjan / Leimer). Stream-safe: MT(G) is the independent product of
-  /// MT(G[atom]) over the atoms, glued on the clique separators.
-  bool decompose_atoms = true;
-};
-
 /// One vertex removed by Tier 0, with the clique bag that lifts results
 /// back: `bag` is N[v] at elimination time (original labels), which is a
 /// maximal clique of every minimal triangulation of the pre-elimination
@@ -54,10 +29,8 @@ struct PreprocessInfo {
 struct PreprocessResult {
   /// Vertices still in play after the reductions.
   VertexSet kept;
-  /// Working supergraph of g on the same vertex universe: within `kept` it
-  /// is exactly the reduced graph (g[kept] plus the saturation fill of any
-  /// almost-simplicial eliminations). Edges incident to eliminated vertices
-  /// are stale leftovers — only ever read it through subsets of `kept`.
+  /// The input graph itself: the simplicial reduction adds no fill, so the
+  /// reduced graph is g[kept]. Read it through subsets of `kept`.
   Graph reduced;
   /// Eliminated vertices in elimination order, with their lift bags.
   std::vector<EliminatedVertex> eliminated;
@@ -68,14 +41,18 @@ struct PreprocessResult {
   PreprocessInfo info;
 };
 
-/// Runs the Tier-0 reductions on g (any graph; components are decomposed
-/// independently). Deterministic: single-threaded, fixed scan orders.
-PreprocessResult Preprocess(const Graph& g,
-                            const PreprocessOptions& options = {});
-
-/// The degeneracy of g — a lower bound on its treewidth, used as the safety
-/// condition of the almost-simplicial rule.
-int DegeneracyLowerBound(const Graph& g);
+/// Runs Tier 0, the reduce stage of the tiered pipeline, on g (any graph;
+/// components are decomposed independently). Both steps are *stream-safe*:
+/// they preserve the set of minimal triangulations up to the recorded lift,
+/// so the tiered enumerator can replay the full ranked stream of g.
+///  - Repeatedly eliminate simplicial vertices (N(v) a clique): v lies in
+///    the unique maximal clique N[v] of every minimal triangulation and
+///    contributes no fill, so MT(G) is in bijection with MT(G - v).
+///  - Split what is left into its clique-minimal-separator atoms (Tarjan /
+///    Leimer): MT(G) is the independent product of MT(G[atom]) over the
+///    atoms, glued on the clique separators.
+/// Deterministic: single-threaded, fixed scan orders.
+PreprocessResult Preprocess(const Graph& g);
 
 /// The clique-minimal-separator atoms of g (Leimer's unique decomposition),
 /// computed from the clique-tree adhesions of a minimal triangulation that

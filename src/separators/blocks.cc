@@ -37,16 +37,4 @@ std::vector<Block> AllFullBlocks(const Graph& g,
   return out;
 }
 
-Graph Realization(const Graph& g, const Block& block,
-                  std::vector<int>* old_to_new) {
-  std::vector<int> map;
-  Graph r = g.InducedSubgraph(block.vertices, &map);
-  // Saturate the (relabeled) separator.
-  VertexSet s_new(r.NumVertices());
-  block.separator.ForEach([&](int v) { s_new.Insert(map[v]); });
-  r.SaturateSet(s_new);
-  if (old_to_new != nullptr) *old_to_new = std::move(map);
-  return r;
-}
-
 }  // namespace mintri

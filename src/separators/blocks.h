@@ -26,12 +26,6 @@ std::vector<Block> BlocksOfSeparator(const Graph& g, const VertexSet& s);
 std::vector<Block> AllFullBlocks(const Graph& g,
                                  const std::vector<VertexSet>& separators);
 
-/// The realization R(S, C) = G[S ∪ C] ∪ K_S, relabeled to 0..|S∪C|-1 in
-/// increasing original-vertex order. If old_to_new is non-null it receives
-/// the relabeling (-1 for vertices outside the block).
-Graph Realization(const Graph& g, const Block& block,
-                  std::vector<int>* old_to_new = nullptr);
-
 }  // namespace mintri
 
 #endif  // MINTRI_SEPARATORS_BLOCKS_H_

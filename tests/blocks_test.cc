@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "chordal/chordality.h"
 #include "separators/minimal_separators.h"
 #include "test_util.h"
 #include "workloads/named_graphs.h"
@@ -56,27 +55,6 @@ TEST(BlocksTest, EverySeparatorHasAtLeastTwoFullBlocks) {
       EXPECT_GE(full, 2) << s.ToString();
     }
   }
-}
-
-TEST(BlocksTest, RealizationSaturatesSeparator) {
-  Graph g = testutil::PaperExampleGraph();
-  VertexSet s1 = VertexSet::Of(6, {3, 4, 5});
-  auto blocks = BlocksOfSeparator(g, s1);
-  // Block with component {v, v'} = {1, 2}.
-  const Block* b = nullptr;
-  for (const Block& blk : blocks) {
-    if (blk.component.Contains(1)) b = &blk;
-  }
-  ASSERT_NE(b, nullptr);
-  std::vector<int> map;
-  Graph r = Realization(g, *b, &map);
-  EXPECT_EQ(r.NumVertices(), 5);  // {v, v', w1, w2, w3}
-  // The separator {w1,w2,w3} must now be a clique.
-  VertexSet s_new(5);
-  s1.ForEach([&](int v) { s_new.Insert(map[v]); });
-  EXPECT_TRUE(r.IsClique(s_new));
-  // R(S1, C1^1) of Figure 2 is chordal already.
-  EXPECT_TRUE(IsChordal(r));
 }
 
 TEST(BlocksTest, BlocksAreDisjointComponents) {

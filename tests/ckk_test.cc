@@ -108,7 +108,7 @@ TEST(CkkTest, FillSetDedupSurvivesHashCollisions) {
   EXPECT_NE(FillSetDedup::DefaultHash(a), FillSetDedup::DefaultHash(b));
 }
 
-TEST(CkkTest, NoOrderGuaranteeButCountsTriangulatorCalls) {
+TEST(CkkTest, NoOrderGuaranteeButCountsLbTriangCalls) {
   Graph g = workloads::Grid(3, 3);
   CkkEnumerator e(g);
   int produced = 0;

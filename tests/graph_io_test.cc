@@ -28,6 +28,12 @@ TEST(GraphIoTest, RejectsMalformed) {
   EXPECT_FALSE(  // a second header must not drop the edges read so far
       ParseDimacsString("p tw 3 1\n1 2\np tw 5 0\n").has_value());
   EXPECT_FALSE(ParseDimacsString("p tw 3 1\n1 2 3\n").has_value());  // 3 ids
+  EXPECT_FALSE(ParseDimacsString("p tw 3 1\n1 1\n").has_value());  // loop
+  EXPECT_FALSE(  // header edge count disagrees with the edge lines
+      ParseDimacsString("p tw 3 5\n1 2\n").has_value());
+  EXPECT_FALSE(ParseDimacsString("p tw 3 0\n1 2\n").has_value());
+  // A repeated edge line counts toward the header's total.
+  EXPECT_TRUE(ParseDimacsString("p tw 3 2\n1 2\n2 1\n").has_value());
 }
 
 TEST(GraphIoTest, RoundTrips) {

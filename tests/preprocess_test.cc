@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
-#include "chordal/chordality.h"
-#include "chordal/minimality.h"
 #include "test_util.h"
 #include "workloads/named_graphs.h"
 #include "workloads/random_graphs.h"
@@ -14,14 +10,6 @@ namespace mintri {
 namespace {
 
 using testutil::MakeGraph;
-
-// Decomposition only, no vertex elimination — for tests that want to see
-// the clique-minimal-separator atoms of the input itself.
-PreprocessOptions DecomposeOnly() {
-  PreprocessOptions options;
-  options.reduce_simplicial = false;
-  return options;
-}
 
 TEST(PreprocessTest, ChordalGraphFullyReduces) {
   // A tree is chordal: simplicial elimination consumes every vertex and no
@@ -61,47 +49,15 @@ TEST(PreprocessTest, CycleDoesNotReduceOrSplit) {
   EXPECT_EQ(r.atoms[0].Count(), 4);
 }
 
-TEST(PreprocessTest, AlmostSimplicialOffByDefault) {
-  // The C4 stream-safety counterexample: an almost-simplicial elimination
-  // commits to one of C4's two minimal triangulations, so the default
-  // pipeline must not take it.
-  PreprocessOptions defaults;
-  EXPECT_FALSE(defaults.reduce_almost_simplicial);
-  Graph g = workloads::Cycle(4);
-  PreprocessResult r = Preprocess(g);
-  EXPECT_EQ(r.info.vertices_removed, 0);
-}
-
-TEST(PreprocessTest, AlmostSimplicialReductionIsWidthSafe) {
-  // With the flag on, C5 reduces through degree-2 almost-simplicial
-  // vertices; the recorded bags glue to a *valid* minimal triangulation of
-  // width 2 = treewidth (the width-safety condition), even though the
-  // stream is no longer the full MT(G).
-  PreprocessOptions options;
-  options.reduce_almost_simplicial = true;
-  Graph g = workloads::Cycle(5);
-  PreprocessResult r = Preprocess(g, options);
-  EXPECT_EQ(r.info.vertices_removed, 5);
-  Graph filled = g;
-  int width = 0;
-  for (const EliminatedVertex& ev : r.eliminated) {
-    filled.SaturateSet(ev.bag);
-    width = std::max(width, ev.bag.Count() - 1);
-  }
-  EXPECT_TRUE(IsChordal(filled));
-  EXPECT_TRUE(IsMinimalTriangulation(g, filled));
-  EXPECT_EQ(width, 2);
-}
-
 TEST(PreprocessTest, CutVertexSplitsIntoAtoms) {
   // Bowtie: triangles {0,1,2} and {2,3,4} share the cut vertex 2 — a
   // clique minimal separator of size 1.
   Graph g = MakeGraph(5, {{0, 1}, {0, 2}, {1, 2}, {2, 3}, {2, 4}, {3, 4}});
-  PreprocessResult r = Preprocess(g, DecomposeOnly());
-  ASSERT_EQ(r.atoms.size(), 2u);
-  EXPECT_EQ(r.atoms[0].Count(), 3);
-  EXPECT_EQ(r.atoms[1].Count(), 3);
-  EXPECT_TRUE(r.atoms[0].Intersect(r.atoms[1]).Count() == 1);
+  std::vector<VertexSet> atoms = CliqueMinimalSeparatorAtoms(g);
+  ASSERT_EQ(atoms.size(), 2u);
+  EXPECT_EQ(atoms[0].Count(), 3);
+  EXPECT_EQ(atoms[1].Count(), 3);
+  EXPECT_TRUE(atoms[0].Intersect(atoms[1]).Count() == 1);
 }
 
 TEST(PreprocessTest, CliqueEdgeSeparatorSplits) {
@@ -145,19 +101,16 @@ TEST(PreprocessTest, AtomsAreAtomsOnRandomGraphs) {
   }
 }
 
-TEST(PreprocessTest, DegeneracyLowerBound) {
-  EXPECT_EQ(DegeneracyLowerBound(workloads::Path(6)), 1);
-  EXPECT_EQ(DegeneracyLowerBound(workloads::Cycle(7)), 2);
-  EXPECT_EQ(DegeneracyLowerBound(workloads::Complete(5)), 4);
-  EXPECT_EQ(DegeneracyLowerBound(workloads::Grid(4, 4)), 2);
-}
-
 TEST(PreprocessTest, InfoCountsAtoms) {
-  Graph g = MakeGraph(5, {{0, 1}, {0, 2}, {1, 2}, {2, 3}, {2, 4}, {3, 4}});
-  PreprocessResult r = Preprocess(g, DecomposeOnly());
+  // Two C4s sharing the cut vertex 0: no vertex is simplicial, so the
+  // default pipeline keeps all 7 and splits them into two 4-vertex atoms.
+  Graph g = MakeGraph(7, {{0, 1}, {1, 2}, {2, 3}, {3, 0},    // left cycle
+                          {0, 4}, {4, 5}, {5, 6}, {6, 0}});  // right cycle
+  PreprocessResult r = Preprocess(g);
+  EXPECT_EQ(r.info.vertices_removed, 0);
   EXPECT_EQ(r.info.num_atoms, 2);
-  EXPECT_EQ(r.info.largest_atom, 3);
-  EXPECT_EQ(r.info.smallest_atom, 3);
+  EXPECT_EQ(r.info.largest_atom, 4);
+  EXPECT_EQ(r.info.smallest_atom, 4);
   EXPECT_GE(r.info.seconds, 0.0);
 }
 

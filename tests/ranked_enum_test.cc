@@ -9,6 +9,7 @@
 #include "chordal/minimality.h"
 #include "cost/standard_costs.h"
 #include "enumeration/ckk.h"
+#include "enumeration/tree_decomposition.h"
 #include "test_util.h"
 #include "workloads/named_graphs.h"
 #include "workloads/random_graphs.h"
@@ -138,13 +139,13 @@ TEST(RankedEnumTest, TreeDecompositionsAreProper) {
   Graph g = testutil::PaperExampleGraph();
   TriangulationContext ctx = BuildCtx(g);
   WidthCost width;
-  RankedTreeDecompositionEnumerator e(ctx, width);
+  RankedTriangulationEnumerator e(ctx, width);
   int count = 0;
   CostValue last = -kInfiniteCost;
-  while (auto r = e.Next()) {
-    EXPECT_TRUE(r->decomposition.IsProperFor(g));
-    EXPECT_LE(last, r->cost);
-    last = r->cost;
+  while (auto t = e.Next()) {
+    EXPECT_TRUE(CliqueTreeOf(*t).IsProperFor(g));
+    EXPECT_LE(last, t->cost);
+    last = t->cost;
     ++count;
   }
   EXPECT_EQ(count, 2);
