@@ -2,24 +2,32 @@
 
 #include <algorithm>
 #include <cassert>
+#include <queue>
+#include <utility>
 
 namespace mintri {
 
 std::vector<int> MaximumCardinalitySearch(const Graph& g) {
+  // Lazy max-heap of (weight, -vertex): the top live entry is the unvisited
+  // vertex of largest weight, the lowest-numbered one on ties. An entry is
+  // stale once its vertex is visited or has been re-pushed with a larger
+  // weight. O((n + m) log n) plus the bitset scans of the adjacency rows.
   const int n = g.NumVertices();
   std::vector<int> weight(n, 0);
   std::vector<bool> visited(n, false);
+  std::priority_queue<std::pair<int, int>> heap;
+  for (int v = 0; v < n; ++v) heap.emplace(0, -v);
   std::vector<int> order;
   order.reserve(n);
-  for (int step = 0; step < n; ++step) {
-    int best = -1;
-    for (int v = 0; v < n; ++v) {
-      if (!visited[v] && (best == -1 || weight[v] > weight[best])) best = v;
-    }
+  while (!heap.empty()) {
+    const auto [w, neg_v] = heap.top();
+    heap.pop();
+    const int best = -neg_v;
+    if (visited[best] || weight[best] != w) continue;
     visited[best] = true;
     order.push_back(best);
     g.Neighbors(best).ForEach([&](int u) {
-      if (!visited[u]) ++weight[u];
+      if (!visited[u]) heap.emplace(++weight[u], -u);
     });
   }
   return order;

@@ -18,13 +18,17 @@ struct CliqueTree {
   std::vector<std::pair<int, int>> edges;
 };
 
-/// Maximal cliques of a chordal graph (Fulkerson–Gross via a perfect
-/// elimination ordering). Precondition: IsChordal(g). A chordal graph on n
-/// vertices has at most n maximal cliques (Theorem 2.2(2) of the paper).
+/// Maximal cliques of a chordal graph, read off the MCS perfect elimination
+/// ordering in O(n + m) (Fulkerson–Gross / Blair–Peyton), ordered by the
+/// elimination position of each clique's first-eliminated vertex.
+/// Precondition: IsChordal(g). A chordal graph on n vertices has at most n
+/// maximal cliques (Theorem 2.2(2) of the paper).
 std::vector<VertexSet> MaximalCliquesOfChordal(const Graph& g);
 
-/// Builds a clique tree: a maximum-weight spanning tree of the clique graph
-/// where the weight of {Ci, Cj} is |Ci ∩ Cj| (Jordan / Blair–Peyton).
+/// Builds a clique tree in O(n + m) from the same elimination ordering:
+/// the elimination tree with every non-maximal clique contracted into a
+/// clique that contains it (Blair & Peyton, "An introduction to chordal
+/// graphs and clique trees", 1993). `cliques` is MaximalCliquesOfChordal(g).
 /// Precondition: IsChordal(g).
 CliqueTree BuildCliqueTree(const Graph& g);
 

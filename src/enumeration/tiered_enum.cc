@@ -1,13 +1,13 @@
 #include "enumeration/tiered_enum.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 #include <numeric>
 #include <utility>
 
 #include "chordal/clique_tree.h"
 #include "chordal/lb_triang.h"
-#include "triang/triangulation.h"
 #include "util/timer.h"
 
 namespace mintri {
@@ -74,10 +74,41 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
     if (pre.info.vertices_removed > 0 || pre.atoms.size() > 1) {
       lifted_ = true;
     }
+    auto relabel = [&](const VertexSet& set) {
+      VertexSet out(g_.NumVertices());
+      set.ForEach([&](int v) { out.Insert(comp_old_of_new[v]); });
+      return out;
+    };
     for (const EliminatedVertex& ev : pre.eliminated) {
-      VertexSet bag(g_.NumVertices());
-      ev.bag.ForEach([&](int v) { bag.Insert(comp_old_of_new[v]); });
-      fixed_bags_.push_back(std::move(bag));
+      VertexSet neighbors = relabel(ev.bag);
+      const int vertex = comp_old_of_new[ev.vertex];
+      neighbors.Erase(vertex);
+      lifts_.push_back({vertex, std::move(neighbors)});
+    }
+    // Orient the atom tree away from each tree's first atom, parents first,
+    // so Assemble attaches every atom's clique tree to an already glued one.
+    const int first_unit = static_cast<int>(units_.size());
+    std::vector<std::vector<const AtomLink*>> links_of_atom(pre.atoms.size());
+    for (const AtomLink& link : pre.atom_links) {
+      links_of_atom[link.a].push_back(&link);
+      links_of_atom[link.b].push_back(&link);
+    }
+    std::vector<bool> reached(pre.atoms.size(), false);
+    for (size_t root = 0; root < pre.atoms.size(); ++root) {
+      if (reached[root]) continue;
+      reached[root] = true;
+      std::vector<int> frontier = {static_cast<int>(root)};
+      for (size_t i = 0; i < frontier.size(); ++i) {
+        const int atom = frontier[i];
+        for (const AtomLink* link : links_of_atom[atom]) {
+          const int other = link->a == atom ? link->b : link->a;
+          if (reached[other]) continue;
+          reached[other] = true;
+          frontier.push_back(other);
+          links_.push_back({first_unit + atom, first_unit + other,
+                            relabel(link->separator)});
+        }
+      }
     }
     for (const VertexSet& atom : pre.atoms) {
       std::vector<int> atom_old_to_new;
@@ -288,56 +319,108 @@ CostValue TieredEnumerator::Compose(const std::vector<size_t>& indices) const {
 }
 
 Triangulation TieredEnumerator::Assemble(const std::vector<size_t>& indices) {
-  if (!lifted_) {
-    // No Tier-0 rewriting happened: the units are exactly the connected
-    // components, and the clique tree is a forest with one root per unit.
-    Triangulation out;
-    out.filled = g_;
-    const int n = g_.NumVertices();
-    for (size_t c = 0; c < indices.size(); ++c) {
-      const Unit& unit = units_[c];
-      const Triangulation& part = unit.produced[indices[c]];
-      int bag_offset = static_cast<int>(out.bags.size());
-      for (size_t b = 0; b < part.bags.size(); ++b) {
-        VertexSet bag(n);
-        part.bags[b].ForEach([&](int v) { bag.Insert(unit.old_of_new[v]); });
-        out.filled.SaturateSet(bag);
-        out.bags.push_back(std::move(bag));
-        out.parent.push_back(part.parent[b] < 0 ? -1
-                                                : part.parent[b] + bag_offset);
-      }
-      for (const VertexSet& s : part.separators) {
-        VertexSet sep(n);
-        s.ForEach([&](int v) { sep.Insert(unit.old_of_new[v]); });
-        out.separators.push_back(std::move(sep));
-      }
-    }
-    std::sort(out.separators.begin(), out.separators.end());
-    out.cost = Compose(indices);
-    return out;
-  }
-
-  // Tier-0 lifting: glue the atom triangulations (adjacent atoms overlap in
-  // clique separators, so the union of their fills is chordal and minimal —
-  // Leimer) and re-attach the eliminated simplicial bags, then repackage as
-  // a canonical clique tree. The emitted cost is re-evaluated on the final
-  // bag set, so it is truthful even though the queue was ordered by the
-  // composed per-unit costs (a monotone function of it for every
-  // tier-decomposable cost).
+  // Glue the result from the units' clique trees, without rebuilding one
+  // over the whole graph (Leimer): adjacent atoms overlap in a clique
+  // separator, so linking one bag ⊇ it on each side keeps the junction
+  // property, and a simplicial lift bag N[v] hangs on any bag ⊇ N(v). With
+  // no Tier-0 rewriting there is nothing to glue, and the result is the
+  // units' clique trees side by side, one tree per connected component.
   const int n = g_.NumVertices();
-  Graph filled = g_;
+  Triangulation out;
+  out.filled = g_;
+  std::vector<VertexSet>& bags = out.bags;
+  std::vector<int>& parent = out.parent;
+  std::vector<int> unit_offset(units_.size() + 1, 0);
   for (size_t c = 0; c < indices.size(); ++c) {
     const Unit& unit = units_[c];
     const Triangulation& part = unit.produced[indices[c]];
-    for (const VertexSet& b : part.bags) {
+    const int offset = static_cast<int>(bags.size());
+    unit_offset[c] = offset;
+    for (size_t b = 0; b < part.bags.size(); ++b) {
       VertexSet bag(n);
-      b.ForEach([&](int v) { bag.Insert(unit.old_of_new[v]); });
-      filled.SaturateSet(bag);
+      part.bags[b].ForEach([&](int v) { bag.Insert(unit.old_of_new[v]); });
+      out.filled.SaturateSet(bag);
+      bags.push_back(std::move(bag));
+      parent.push_back(part.parent[b] < 0 ? -1 : part.parent[b] + offset);
     }
   }
-  for (const VertexSet& bag : fixed_bags_) filled.SaturateSet(bag);
-  Triangulation out = TriangulationFromChordal(g_, std::move(filled));
-  out.cost = cost_.Evaluate(g_, out.bags);
+  unit_offset[indices.size()] = static_cast<int>(bags.size());
+
+  // holders_[v]: the bags that contain v.
+  holders_.resize(n);
+  for (std::vector<int>& h : holders_) h.clear();
+  for (int id = 0; id < static_cast<int>(bags.size()); ++id) {
+    bags[id].ForEach([&](int v) { holders_[v].push_back(id); });
+  }
+  // A bag ⊇ set with id in [lo, hi), found among the holders of the set's
+  // rarest vertex.
+  auto find_bag = [&](const VertexSet& set, int lo, int hi) {
+    int rarest = -1;
+    set.ForEach([&](int v) {
+      if (rarest < 0 || holders_[v].size() < holders_[rarest].size()) {
+        rarest = v;
+      }
+    });
+    for (const int id : holders_[rarest]) {
+      if (id >= lo && id < hi && set.IsSubsetOf(bags[id])) return id;
+    }
+    assert(false && "a clique of the glued triangulation lies in no bag");
+    return -1;
+  };
+
+  // Re-root each child atom's tree at a bag y ⊇ its separator and hang it
+  // on a bag x ⊇ the separator in the parent atom. An atom holds a full
+  // component of each separator it contains, so the separator is no PMC of
+  // the atom and neither bag equals it: x and y stay maximal cliques.
+  for (const Link& link : links_) {
+    const int x = find_bag(link.separator, unit_offset[link.parent_unit],
+                           unit_offset[link.parent_unit + 1]);
+    const int y = find_bag(link.separator, unit_offset[link.child_unit],
+                           unit_offset[link.child_unit + 1]);
+    for (int prev = x, at = y; at >= 0;) {
+      const int up = parent[at];
+      parent[at] = prev;
+      prev = at;
+      at = up;
+    }
+  }
+
+  // Lift bags in reverse elimination order: each N(v) is a clique of g
+  // (so N[v] adds no fill) and of the triangulation glued so far, so some
+  // bag contains it. A bag equal to
+  // N(v) is the only one, and it would lie inside N[v]: it absorbs the lift
+  // bag in place, keeping its tree edges. An empty N(v) starts a new tree.
+  for (auto it = lifts_.rbegin(); it != lifts_.rend(); ++it) {
+    VertexSet bag = it->neighbors;
+    bag.Insert(it->vertex);
+    const int z = it->neighbors.Empty()
+                      ? -1
+                      : find_bag(it->neighbors, 0,
+                                 static_cast<int>(bags.size()));
+    if (z >= 0 && bags[z].Count() == it->neighbors.Count()) {
+      holders_[it->vertex].push_back(z);
+      bags[z] = std::move(bag);
+    } else {
+      const int id = static_cast<int>(bags.size());
+      bag.ForEach([&](int v) { holders_[v].push_back(id); });
+      bags.push_back(std::move(bag));
+      parent.push_back(z);
+    }
+  }
+
+  for (size_t id = 0; id < bags.size(); ++id) {
+    if (parent[id] < 0) continue;
+    VertexSet adhesion = bags[id].Intersect(bags[parent[id]]);
+    if (!adhesion.Empty()) out.separators.push_back(std::move(adhesion));
+  }
+  std::sort(out.separators.begin(), out.separators.end());
+  out.separators.erase(
+      std::unique(out.separators.begin(), out.separators.end()),
+      out.separators.end());
+  // The queue is ordered by the composed unit costs, a monotone function of
+  // the true cost for every tier-decomposable cost; once Tier 0 rewrote the
+  // graph the emitted cost is re-evaluated on the final bags.
+  out.cost = lifted_ ? cost_.Evaluate(g_, out.bags) : Compose(indices);
   return out;
 }
 

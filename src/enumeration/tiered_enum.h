@@ -81,6 +81,11 @@ struct TieredResult {
 /// et al., "Optimal Algorithms for Ranked Enumeration of Answers to Full
 /// Conjunctive Queries", PVLDB 2020).
 ///
+/// Each popped tuple is glued into one result: the atoms' clique trees are
+/// linked on the clique separators Tier 0 split on, and the eliminated
+/// simplicial vertices' bags are hung back on, so no whole-graph clique tree
+/// is rebuilt per result.
+///
 /// Mode::kExact is this product over the connected components alone.
 /// Mode::kAuto with no reduction/decomposition/fallback emits the same
 /// stream byte-for-byte. Deterministic and byte-identical at every thread
@@ -156,6 +161,11 @@ class TieredEnumerator {
   long long SumOverUnits(
       long long (RankedTriangulationEnumerator::*stat)() const) const;
   CostValue Compose(const std::vector<size_t>& indices) const;
+  /// The result for one index tuple, in g's labels: the units' clique trees
+  /// relabeled, linked across the atom tree, with the lift bags hung on in
+  /// reverse elimination order. Linear in the total bag size; nothing is
+  /// rebuilt from the filled graph. A forest with one tree per connected
+  /// component of g.
   Triangulation Assemble(const std::vector<size_t>& indices);
 
   const Graph& g_;
@@ -163,17 +173,32 @@ class TieredEnumerator {
   CostComposition composition_;
   bool init_ok_ = true;
   /// True once Tier 0 changed the unit structure (eliminated a vertex or
-  /// split a component); selects the lifting assembly path.
+  /// split a component); results then carry the cost evaluated on their
+  /// final bags instead of the composed unit costs.
   bool lifted_ = false;
   SolveTier tier_ = SolveTier::kExact;
   ContextBuildInfo init_info_;
   PreprocessInfo preprocess_info_;
   double tier1_seconds_ = 0;
   double tier2_seconds_ = 0;
-  /// Lift bags of Tier-0-eliminated vertices (g labels): each is N[v] at
-  /// elimination time, a maximal clique of every assembled triangulation.
-  std::vector<VertexSet> fixed_bags_;
+  /// A Tier-0-eliminated vertex (g labels). Its lift bag N[v] at
+  /// elimination time is a maximal clique of every assembled triangulation.
+  struct Lift {
+    int vertex;
+    VertexSet neighbors;  // N(v) at elimination time
+  };
+  /// An atom-tree link (Preprocess's AtomLink) between two units, oriented
+  /// so that every parent unit is linked before it is anyone's child.
+  struct Link {
+    int parent_unit;
+    int child_unit;
+    VertexSet separator;  // g labels
+  };
+  std::vector<Lift> lifts_;  // in elimination order
+  std::vector<Link> links_;
   std::vector<Unit> units_;
+  /// Assemble's scratch: holders_[v] lists the bags that contain v.
+  std::vector<std::vector<int>> holders_;
 
   struct QueueEntry {
     CostValue cost;

@@ -108,8 +108,24 @@ void WritePaceTd(const TreeDecomposition& td, int num_graph_vertices,
     td.bags[i].ForEach([&](int v) { out << " " << v + 1; });
     out << "\n";
   }
+  // A .td is one tree: join every further tree of a forest (a disconnected
+  // graph) to the first bag by an empty-adhesion edge, so b bags always
+  // come with b - 1 edges.
+  const int k = static_cast<int>(td.bags.size());
+  std::vector<int> tree_of(k);
+  for (int i = 0; i < k; ++i) tree_of[i] = i;
+  auto find = [&](int x) {
+    while (tree_of[x] != x) x = tree_of[x] = tree_of[tree_of[x]];
+    return x;
+  };
   for (const auto& [a, b] : td.edges) {
     out << a + 1 << " " << b + 1 << "\n";
+    tree_of[find(a)] = find(b);
+  }
+  for (int i = 1; i < k; ++i) {
+    if (find(i) == find(0)) continue;
+    out << 1 << " " << i + 1 << "\n";
+    tree_of[find(i)] = find(0);
   }
 }
 

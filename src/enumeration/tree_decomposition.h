@@ -37,6 +37,7 @@ TreeDecomposition CliqueTreeOf(const Triangulation& t);
 ///   s td <#bags> <max-bag-size> <n>
 ///   b <bag-id> <v...>        (1-based ids)
 ///   <i> <j>                  (tree edges, 1-based bag ids)
+/// A forest is written as one tree: each further tree is joined to bag 1.
 void WritePaceTd(const TreeDecomposition& td, int num_graph_vertices,
                  std::ostream& out);
 

@@ -16,7 +16,7 @@ std::optional<Graph> ParseDimacs(std::istream& in) {
       std::string p, format;
       int n = 0;
       if (g.has_value() || !(ls >> p >> format >> n >> declared_edges) ||
-          n < 0) {
+          p != "p" || format != "tw" || n < 0) {
         return std::nullopt;
       }
       g.emplace(n);

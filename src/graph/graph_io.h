@@ -14,7 +14,8 @@ namespace mintri {
 ///   c comment lines
 ///   p tw <n> <m>
 ///   <u> <v>            (1-based vertex ids)
-/// Returns std::nullopt on malformed input, including a second `p` line,
+/// Returns std::nullopt on malformed input, including a header other than
+/// `p tw` (a `p hg` hypergraph header, say), a second `p` line,
 /// an edge line with more than two fields, a self-loop, and a header <m>
 /// that differs from the number of edge lines (a repeated line counts).
 std::optional<Graph> ParseDimacs(std::istream& in);

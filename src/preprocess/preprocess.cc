@@ -1,6 +1,7 @@
 #include "preprocess/preprocess.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "chordal/clique_tree.h"
@@ -43,16 +44,26 @@ std::vector<VertexSet> CliqueSeparatorCandidates(const Graph& g,
 
 /// Recursively splits the connected `part` along clique minimal separators
 /// (a separator splits when g[part] \ S has >= 2 full components), appending
-/// the resulting atoms. Deterministic: candidates are scanned in sorted
-/// order and the split peels the lowest-numbered full component.
+/// the resulting atoms and one link per split, whose ends index `atoms`.
+/// Deterministic: candidates are scanned in sorted order and the split
+/// peels the lowest-numbered full component.
 void DecomposeConnectedPart(const Graph& g, VertexSet part,
-                            std::vector<VertexSet>* atoms) {
+                            std::vector<VertexSet>* atoms,
+                            std::vector<AtomLink>* links) {
   std::vector<VertexSet> candidates = CliqueSeparatorCandidates(g, part);
-  std::vector<VertexSet> pending;
-  pending.push_back(std::move(part));
+  // Pieces are numbered as they are made, and a link's ends name pieces
+  // until those settle as atoms. A clique lies within one side of any split
+  // (its vertices are pairwise adjacent), so a split piece hands each of its
+  // links to a side that contains the link's separator.
+  const size_t first_link = links->size();
+  std::vector<std::vector<size_t>> links_of_piece(1);
+  std::vector<int> atom_of_piece(1, -1);
+  std::vector<std::pair<VertexSet, int>> pending;
+  pending.emplace_back(std::move(part), 0);
   ComponentScanner scanner;
   while (!pending.empty()) {
-    VertexSet p = std::move(pending.back());
+    VertexSet p = std::move(pending.back().first);
+    const int piece = pending.back().second;
     pending.pop_back();
     bool split = false;
     if (!candidates.empty()) {
@@ -76,14 +87,35 @@ void DecomposeConnectedPart(const Graph& g, VertexSet part,
         if (full >= 2) {
           VertexSet atom_side = first_full.Union(s);
           VertexSet rest = p.Minus(first_full);
-          pending.push_back(std::move(rest));
-          pending.push_back(std::move(atom_side));
+          const int side_piece = static_cast<int>(atom_of_piece.size());
+          const int rest_piece = side_piece + 1;
+          links_of_piece.resize(rest_piece + 1);
+          atom_of_piece.resize(rest_piece + 1, -1);
+          for (const size_t l : links_of_piece[piece]) {
+            AtomLink& link = (*links)[l];
+            const int to = link.separator.IsSubsetOf(atom_side) ? side_piece
+                                                                : rest_piece;
+            (link.a == piece ? link.a : link.b) = to;
+            links_of_piece[to].push_back(l);
+          }
+          links_of_piece[side_piece].push_back(links->size());
+          links_of_piece[rest_piece].push_back(links->size());
+          links->push_back({side_piece, rest_piece, s});
+          pending.emplace_back(std::move(rest), rest_piece);
+          pending.emplace_back(std::move(atom_side), side_piece);
           split = true;
           break;
         }
       }
     }
-    if (!split) atoms->push_back(std::move(p));
+    if (!split) {
+      atom_of_piece[piece] = static_cast<int>(atoms->size());
+      atoms->push_back(std::move(p));
+    }
+  }
+  for (size_t l = first_link; l < links->size(); ++l) {
+    (*links)[l].a = atom_of_piece[(*links)[l].a];
+    (*links)[l].b = atom_of_piece[(*links)[l].b];
   }
 }
 
@@ -91,8 +123,9 @@ void DecomposeConnectedPart(const Graph& g, VertexSet part,
 
 std::vector<VertexSet> CliqueMinimalSeparatorAtoms(const Graph& g) {
   std::vector<VertexSet> atoms;
+  std::vector<AtomLink> links;
   for (const VertexSet& comp : g.ConnectedComponents()) {
-    DecomposeConnectedPart(g, comp, &atoms);
+    DecomposeConnectedPart(g, comp, &atoms, &links);
   }
   std::sort(atoms.begin(), atoms.end());
   return atoms;
@@ -126,10 +159,24 @@ PreprocessResult Preprocess(const Graph& g) {
     ComponentScanner scanner;
     std::vector<VertexSet> comps;
     scanner.Components(g, r.kept.Complement(), &comps);
+    std::vector<VertexSet> atoms;
     for (const VertexSet& comp : comps) {
-      DecomposeConnectedPart(g, comp, &r.atoms);
+      DecomposeConnectedPart(g, comp, &atoms, &r.atom_links);
     }
-    std::sort(r.atoms.begin(), r.atoms.end());
+    // Sort the atoms and renumber the link ends to match.
+    std::vector<int> by_set(atoms.size());
+    std::iota(by_set.begin(), by_set.end(), 0);
+    std::sort(by_set.begin(), by_set.end(),
+              [&](int x, int y) { return atoms[x] < atoms[y]; });
+    std::vector<int> rank(atoms.size());
+    for (size_t k = 0; k < by_set.size(); ++k) {
+      rank[by_set[k]] = static_cast<int>(k);
+      r.atoms.push_back(std::move(atoms[by_set[k]]));
+    }
+    for (AtomLink& link : r.atom_links) {
+      link.a = rank[link.a];
+      link.b = rank[link.b];
+    }
   }
 
   r.info.vertices_removed = static_cast<int>(r.eliminated.size());

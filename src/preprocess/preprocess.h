@@ -16,6 +16,15 @@ struct EliminatedVertex {
   VertexSet bag;
 };
 
+/// One edge of the atom tree: a clique separator that Preprocess split on,
+/// with the two atoms (indices into PreprocessResult::atoms) it joins. Both
+/// atoms contain `separator`.
+struct AtomLink {
+  int a = -1;
+  int b = -1;
+  VertexSet separator;
+};
+
 /// Summary counters for reporting (folded into ContextBuildInfo by the
 /// tiered enumerator, surfaced by --stats, batch records, and bench JSON).
 struct PreprocessInfo {
@@ -38,6 +47,12 @@ struct PreprocessResult {
   /// sorted). Adjacent atoms overlap in their clique separator; their union
   /// is `kept`. Empty iff `kept` is empty (the graph fully reduced).
   std::vector<VertexSet> atoms;
+  /// The atom tree, one link per split: on each connected component of
+  /// reduced[kept] the links form a spanning tree of its atoms. Linking the
+  /// atoms' clique trees along them, through one bag on each side that
+  /// contains the separator, gives a clique tree of the glued triangulation
+  /// (Leimer), so results are assembled without rebuilding one.
+  std::vector<AtomLink> atom_links;
   PreprocessInfo info;
 };
 

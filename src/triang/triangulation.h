@@ -38,7 +38,7 @@ struct Triangulation {
 
 /// Packages a chordal supergraph `h` of `original` as a Triangulation:
 /// computes maximal cliques, a clique tree, and the adhesion separators.
-/// `h` must be chordal. Used by the CKK baseline and by tests.
+/// `h` must be chordal. Used by CKK and tests.
 Triangulation TriangulationFromChordal(const Graph& original, Graph h,
                                        CostValue cost = 0);
 

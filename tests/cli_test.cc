@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 namespace mintri {
 namespace {
@@ -40,6 +41,47 @@ TEST(CliTest, TdFormatIsWellFormed) {
   EXPECT_NE(r.out.find("s td 2 3 4\n"), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("b 1 "), std::string::npos);
   EXPECT_NE(r.out.find("b 2 "), std::string::npos);
+}
+
+// Counts the tree-edge lines ("<i> <j>") of a --format=td output.
+int TdEdgeLines(const std::string& out) {
+  std::istringstream lines(out);
+  int edges = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (!line.empty() && line[0] >= '0' && line[0] <= '9') ++edges;
+  }
+  return edges;
+}
+
+TEST(CliTest, TdOutputIsOneTreeOnDisconnectedInputs) {
+  // C4 plus a triangle, and three isolated vertices: b bags need b - 1
+  // edges in a PACE .td, whether the components were ranked directly or
+  // reduced by Tier 0.
+  const std::string kDisconnected =
+      "p tw 7 7\n1 2\n2 3\n3 4\n4 1\n5 6\n6 7\n7 5\n";
+  const std::string kIsolated = "p tw 3 0\n";
+  for (const char* tier : {"--tier=exact", "--tier=auto"}) {
+    CliResult d = Invoke({"rank", tier, "--format=td", "--top=1"},
+                         kDisconnected);
+    EXPECT_EQ(d.code, 0) << d.err;
+    EXPECT_NE(d.out.find("s td 3 3 7\n"), std::string::npos) << d.out;
+    EXPECT_EQ(TdEdgeLines(d.out), 2) << tier << "\n" << d.out;
+    CliResult i =
+        Invoke({"rank", tier, "--format=td", "--top=1"}, kIsolated);
+    EXPECT_EQ(i.code, 0) << i.err;
+    EXPECT_NE(i.out.find("s td 3 1 3\n"), std::string::npos) << i.out;
+    EXPECT_EQ(TdEdgeLines(i.out), 2) << tier << "\n" << i.out;
+  }
+}
+
+TEST(CliTest, RejectsHeaderOtherThanPtw) {
+  for (const char* input : {"p foo 3 1\n1 2\n", "p hg 3 1\n1 2\n"}) {
+    CliResult r = Invoke({"rank", "--top=1"}, input);
+    EXPECT_EQ(r.code, 1) << input;
+    EXPECT_NE(r.err.find("malformed DIMACS/PACE .gr input"),
+              std::string::npos)
+        << r.err;
+  }
 }
 
 TEST(CliTest, CkkBaseline) {

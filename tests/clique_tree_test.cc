@@ -6,6 +6,8 @@
 
 #include "chordal/chordality.h"
 #include "chordal/lb_triang.h"
+#include "clique_tree_oracle.h"
+#include "enumeration/tree_decomposition.h"
 #include "test_util.h"
 #include "workloads/named_graphs.h"
 #include "workloads/random_graphs.h"
@@ -120,6 +122,61 @@ TEST(CliqueTreeTest, DisconnectedChordalStillYieldsSingleTree) {
   CliqueTree tree = BuildCliqueTree(g);
   EXPECT_EQ(tree.cliques.size(), 3u);
   EXPECT_EQ(tree.edges.size(), 2u);  // spanning tree with empty adhesions
+}
+
+// Chordal graphs of every shape the pipeline feeds the clique-tree code:
+// LB-Triang triangulations of connected and disconnected random graphs,
+// random trees, edgeless graphs and a complete graph.
+std::vector<Graph> ChordalCorpus() {
+  std::vector<Graph> corpus;
+  for (uint64_t seed = 0; seed < 12; ++seed) {
+    corpus.push_back(
+        LbTriangMinDegree(workloads::ConnectedErdosRenyi(14, 0.2, seed)));
+    corpus.push_back(LbTriangMinDegree(workloads::ErdosRenyi(16, 0.1, seed)));
+    corpus.push_back(
+        LbTriangMinDegree(workloads::ConnectedErdosRenyi(40, 0.08, seed)));
+    corpus.push_back(workloads::RandomTree(30, seed));
+  }
+  corpus.push_back(Graph(0));
+  corpus.push_back(Graph(1));
+  corpus.push_back(Graph(7));
+  corpus.push_back(workloads::Complete(6));
+  return corpus;
+}
+
+// The linear clique tree against the quadratic oracle: the same MCS order,
+// the same maximal cliques in the same order, a valid single tree, and the
+// adhesion multiset every clique tree of the graph shares.
+TEST(CliqueTreeTest, LinearCliqueTreeMatchesQuadraticOracle) {
+  const std::vector<Graph> corpus = ChordalCorpus();
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    const Graph& h = corpus[i];
+    ASSERT_TRUE(IsChordal(h)) << "graph " << i;
+    EXPECT_EQ(MaximumCardinalitySearch(h), testutil::McsByScan(h))
+        << "graph " << i;
+    const std::vector<VertexSet> cliques = MaximalCliquesOfChordal(h);
+    EXPECT_EQ(cliques, testutil::MaximalCliquesBySubsetFilter(h))
+        << "graph " << i;
+
+    CliqueTree tree = BuildCliqueTree(h);
+    const CliqueTree oracle = testutil::CliqueTreeByPrim(h);
+    EXPECT_EQ(tree.cliques, cliques) << "graph " << i;
+    EXPECT_EQ(tree.edges.size(), cliques.empty() ? 0 : cliques.size() - 1)
+        << "graph " << i;
+    EXPECT_EQ(testutil::AdhesionMultiset(tree),
+              testutil::AdhesionMultiset(oracle))
+        << "graph " << i;
+    TreeDecomposition td{tree.cliques, tree.edges};
+    EXPECT_TRUE(td.IsValidFor(h)) << "graph " << i;
+
+    std::vector<VertexSet> distinct;
+    for (const VertexSet& a : testutil::AdhesionMultiset(oracle)) {
+      if (!a.Empty() && (distinct.empty() || distinct.back() != a)) {
+        distinct.push_back(a);
+      }
+    }
+    EXPECT_EQ(MinimalSeparatorsOfChordal(h), distinct) << "graph " << i;
+  }
 }
 
 }  // namespace

@@ -25,6 +25,9 @@ TEST(GraphIoTest, RejectsMalformed) {
   EXPECT_FALSE(ParseDimacsString("1 2\n").has_value());       // no header
   EXPECT_FALSE(ParseDimacsString("p tw 2 1\n1 5\n").has_value());  // range
   EXPECT_FALSE(ParseDimacsString("p tw x y\n").has_value());
+  // Only the `p tw` format is a graph, not another token or a hypergraph.
+  EXPECT_FALSE(ParseDimacsString("p foo 3 1\n1 2\n").has_value());
+  EXPECT_FALSE(ParseDimacsString("p hg 3 1\n1 2\n").has_value());
   EXPECT_FALSE(  // a second header must not drop the edges read so far
       ParseDimacsString("p tw 3 1\n1 2\np tw 5 0\n").has_value());
   EXPECT_FALSE(ParseDimacsString("p tw 3 1\n1 2 3\n").has_value());  // 3 ids

@@ -114,5 +114,45 @@ TEST(PreprocessTest, InfoCountsAtoms) {
   EXPECT_GE(r.info.seconds, 0.0);
 }
 
+TEST(PreprocessTest, AtomLinksFormASpanningForestOfTheAtoms) {
+  // Every link joins two atoms through a clique that both contain, and per
+  // connected component of the reduced graph the links span its atoms
+  // without a cycle.
+  std::vector<Graph> corpus = {
+      MakeGraph(7, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 4}, {4, 5}, {5, 6},
+                    {6, 0}}),
+      MakeGraph(6, {{0, 1}, {0, 2}, {2, 3}, {3, 1}, {0, 4}, {4, 5}, {5, 1}})};
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    corpus.push_back(workloads::ErdosRenyi(14, 0.2, seed));
+  }
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    const Graph& g = corpus[i];
+    PreprocessResult r = Preprocess(g);
+    const int k = static_cast<int>(r.atoms.size());
+    std::vector<int> tree_of(k);
+    for (int a = 0; a < k; ++a) tree_of[a] = a;
+    auto find = [&](int x) {
+      while (tree_of[x] != x) x = tree_of[x];
+      return x;
+    };
+    for (const AtomLink& link : r.atom_links) {
+      ASSERT_TRUE(link.a >= 0 && link.a < k && link.b >= 0 && link.b < k)
+          << "graph " << i;
+      EXPECT_FALSE(link.separator.Empty()) << "graph " << i;
+      EXPECT_TRUE(g.IsClique(link.separator)) << "graph " << i;
+      EXPECT_TRUE(link.separator.IsSubsetOf(r.atoms[link.a])) << "graph " << i;
+      EXPECT_TRUE(link.separator.IsSubsetOf(r.atoms[link.b])) << "graph " << i;
+      EXPECT_NE(find(link.a), find(link.b)) << "graph " << i << ": a cycle";
+      tree_of[find(link.a)] = find(link.b);
+    }
+    std::vector<VertexSet> kept_components;
+    ComponentScanner scanner;
+    scanner.Components(g, r.kept.Complement(), &kept_components);
+    EXPECT_EQ(r.atom_links.size() + kept_components.size(),
+              static_cast<size_t>(k))
+        << "graph " << i;
+  }
+}
+
 }  // namespace
 }  // namespace mintri

@@ -11,9 +11,11 @@
 #include <vector>
 
 #include "chordal/chordality.h"
+#include "chordal/clique_tree.h"
 #include "chordal/lb_triang.h"
 #include "chordal/minimality.h"
 #include "cost/standard_costs.h"
+#include "enumeration/tree_decomposition.h"
 #include "test_util.h"
 #include "triang/triangulation.h"
 #include "workloads/named_graphs.h"
@@ -400,6 +402,150 @@ TEST(TieredEnumTest, ChordalInputEmitsExactlyOneResult) {
   EXPECT_EQ(r->triangulation.cost, 0);  // no fill
   EXPECT_EQ(r->triangulation.filled.NumEdges(), g.NumEdges());
   EXPECT_FALSE(e.Next().has_value());
+}
+
+// The invariants of a glued result, checked against the whole-graph
+// rebuild it replaces: its bags are the maximal cliques of its filled graph
+// and form a proper clique tree with one root per connected component, its
+// separators are the filled graph's minimal separators, and its cost is the
+// cost of its own bags.
+void ExpectGluedResultIsTheRebuild(const Graph& g, const BagCost& cost,
+                                   const Triangulation& t,
+                                   const std::string& label) {
+  std::vector<VertexSet> bags = t.bags;
+  std::sort(bags.begin(), bags.end());
+  std::vector<VertexSet> cliques = MaximalCliquesOfChordal(t.filled);
+  std::sort(cliques.begin(), cliques.end());
+  EXPECT_EQ(bags, cliques) << label;
+  EXPECT_TRUE(CliqueTreeOf(t).IsProperFor(g)) << label;
+  EXPECT_EQ(t.separators, MinimalSeparatorsOfChordal(t.filled)) << label;
+  EXPECT_EQ(t.cost, cost.Evaluate(g, t.bags)) << label;
+  ASSERT_EQ(t.parent.size(), t.bags.size()) << label;
+  EXPECT_EQ(std::count(t.parent.begin(), t.parent.end(), -1),
+            static_cast<long>(g.ConnectedComponents().size()))
+      << label;
+
+  const Triangulation rebuilt = TriangulationFromChordal(g, t.filled);
+  std::vector<VertexSet> rebuilt_bags = rebuilt.bags;
+  std::sort(rebuilt_bags.begin(), rebuilt_bags.end());
+  EXPECT_EQ(bags, rebuilt_bags) << label;
+  EXPECT_EQ(t.separators, rebuilt.separators) << label;
+  EXPECT_EQ(t.cost, cost.Evaluate(g, rebuilt.bags)) << label;
+  EXPECT_EQ(t.FillEdgesSorted(g), rebuilt.FillEdgesSorted(g)) << label;
+}
+
+void ExpectGluedStream(const Graph& g, const BagCost& cost,
+                       CostComposition composition, size_t limit,
+                       const std::string& label) {
+  TieredEnumerator e(g, cost, composition, {}, {}, AutoOptions(true));
+  size_t count = 0;
+  while (count < limit) {
+    auto r = e.Next();
+    if (!r.has_value()) break;
+    ExpectGluedResultIsTheRebuild(
+        g, cost, r->triangulation,
+        label + " " + cost.Name() + " #" + std::to_string(count));
+    ++count;
+  }
+  EXPECT_GE(count, 1u) << label;
+}
+
+// A chain of k×3 grid atoms (k = 3, 4, 3, ...) glued alternately on a cut
+// vertex and on an edge, with pendant vertices, a pendant path and a
+// pendant triangle: the shape of a huge-atoms input, small enough to test.
+Graph GridAtomChain(int blocks) {
+  std::vector<std::pair<int, int>> edges;
+  int n = 0;
+  std::vector<int> prev;
+  for (int b = 0; b < blocks; ++b) {
+    const int rows = 3 + b % 2;
+    std::vector<int> id(rows * 3, -1);
+    if (b % 2 == 1) {
+      id[0] = prev.back();  // a cut vertex
+    } else if (b > 0) {
+      id[0] = prev[prev.size() - 2];  // the previous block's last edge
+      id[1] = prev.back();
+    }
+    for (int& v : id) {
+      if (v < 0) v = n++;
+    }
+    for (int r = 0; r < rows; ++r) {
+      for (int c = 0; c < 3; ++c) {
+        if (c + 1 < 3) edges.emplace_back(id[r * 3 + c], id[r * 3 + c + 1]);
+        if (r + 1 < rows) edges.emplace_back(id[r * 3 + c], id[r * 3 + c + 3]);
+      }
+    }
+    prev = std::move(id);
+  }
+  const int core = n;
+  for (int v = 0; v < core; v += 5) edges.emplace_back(v, n++);
+  edges.emplace_back(core - 1, n);  // a pendant path of two vertices
+  edges.emplace_back(n, n + 1);
+  n += 2;
+  edges.emplace_back(core / 2, n);  // a pendant triangle
+  edges.emplace_back(core / 2, n + 1);
+  edges.emplace_back(n, n + 1);
+  n += 2;
+  Graph g(n);
+  for (const auto& [u, v] : edges) g.AddEdge(u, v);
+  return g;
+}
+
+TEST(TieredEnumTest, GluedResultsEqualTheRebuildOnTheCorpus) {
+  WidthCost width;
+  FillInCost fill;
+  const std::vector<Graph> corpus = DifferentialCorpus();
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    const std::string label = "graph " + std::to_string(i);
+    ExpectGluedStream(corpus[i], width, CostComposition::kMax, kExhaustCap,
+                      label);
+    ExpectGluedStream(corpus[i], fill, CostComposition::kSum, kExhaustCap,
+                      label);
+  }
+}
+
+TEST(TieredEnumTest, GluedResultsEqualTheRebuildOnAnAtomChain) {
+  const Graph g = GridAtomChain(4);
+  WidthCost width;
+  TieredEnumerator e(g, width, CostComposition::kMax, {}, {},
+                     AutoOptions(true));
+  EXPECT_EQ(e.tier(), SolveTier::kAtomExact);
+  EXPECT_EQ(e.preprocess_info().num_atoms, 4);
+  EXPECT_GE(e.preprocess_info().vertices_removed, 10);
+  ExpectGluedStream(g, width, CostComposition::kMax, 200, "atom chain");
+  FillInCost fill;
+  ExpectGluedStream(g, fill, CostComposition::kSum, 200, "atom chain");
+}
+
+TEST(TieredEnumTest, GluedResultsEqualTheRebuildOnAForest) {
+  const Graph g = DisjointUnion({workloads::RandomTree(9, 1), Graph(1),
+                                 workloads::RandomTree(6, 2), Graph(2),
+                                 workloads::Path(3)});
+  WidthCost width;
+  ExpectGluedStream(g, width, CostComposition::kMax, 2, "forest");
+  FillInCost fill;
+  ExpectGluedStream(g, fill, CostComposition::kSum, 2, "forest");
+}
+
+// Trivial graphs far too large for a whole-graph rebuild per result: one
+// result, a bag per tree edge or per vertex, no fill.
+TEST(TieredEnumTest, LargeTreeAndEdgelessGraphGlueStructurally) {
+  FillInCost fill;
+  const Graph tree = workloads::RandomTree(4096, 11);
+  const Graph edgeless(5000);
+  for (const Graph* g : {&tree, &edgeless}) {
+    const int n = g->NumVertices();
+    TieredEnumerator e(*g, fill, CostComposition::kSum, {}, {},
+                       AutoOptions(true));
+    auto r = e.Next();
+    ASSERT_TRUE(r.has_value()) << "n=" << n;
+    const Triangulation& t = r->triangulation;
+    EXPECT_EQ(t.bags.size(),
+              static_cast<size_t>(g->NumEdges() > 0 ? n - 1 : n));
+    EXPECT_EQ(t.FillIn(*g), 0) << "n=" << n;
+    EXPECT_EQ(t.cost, 0) << "n=" << n;
+    EXPECT_FALSE(e.Next().has_value()) << "n=" << n;
+  }
 }
 
 }  // namespace
