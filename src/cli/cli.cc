@@ -3,6 +3,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <utility>
 
 #include "bench/bench_suites.h"
 #include "cli/batch.h"
@@ -224,14 +225,14 @@ int RunBenchCommand(const std::vector<std::string>& args, std::ostream& out,
 }
 
 void PrintResult(const Options& options, const Graph& g, int rank,
-                 const Triangulation& t, std::ostream& out,
+                 Triangulation t, std::ostream& out,
                  const char* tier = nullptr) {
   if (options.format == "td") {
     out << "c result " << rank << " cost " << t.cost << " width "
         << t.Width() << " fill " << t.FillIn(g);
     if (tier != nullptr) out << " tier " << tier;
     out << "\n";
-    WritePaceTd(CliqueTreeOf(t), g.NumVertices(), out);
+    WritePaceTd(CliqueTreeOf(std::move(t)), g.NumVertices(), out);
   } else {
     out << "#" << rank << " cost=" << t.cost << " width=" << t.Width()
         << " fill=" << t.FillIn(g) << " bags=" << t.bags.size();
@@ -306,7 +307,7 @@ int RunCli(const std::vector<std::string>& args, std::istream& in,
     for (long long rank = 1; rank <= options.top; ++rank) {
       auto t = e.Next();
       if (!t.has_value()) break;
-      PrintResult(options, g, static_cast<int>(rank), *t, out);
+      PrintResult(options, g, static_cast<int>(rank), std::move(*t), out);
     }
     print_cache_stats();
     return 0;
@@ -364,18 +365,21 @@ int RunCli(const std::vector<std::string>& args, std::istream& in,
         << " ms_terminated=" << info.num_ms_terminated
         << " pmc_terminated=" << info.num_pmc_terminated << "\n";
   }
-  for (long long rank = 1; rank <= options.top; ++rank) {
+  long long results = 0;
+  while (results < options.top) {
     auto t = e.Next();
     if (!t.has_value()) break;
-    PrintResult(options, g, static_cast<int>(rank), t->triangulation, out,
-                TierName(t->tier));
+    ++results;
+    PrintResult(options, g, static_cast<int>(results),
+                std::move(t->triangulation), out, TierName(t->tier));
   }
   if (options.stats) {
     err << "solver: optimizer_calls=" << e.num_optimizer_calls()
         << " candidate_evals=" << e.num_candidate_evals()
         << " combine_calls=" << e.num_combine_calls()
         << " index_updates=" << e.num_index_updates()
-        << " range_queries=" << e.num_range_queries() << "\n";
+        << " range_queries=" << e.num_range_queries()
+        << " results=" << results << "\n";
   }
   print_cache_stats();
   return 0;

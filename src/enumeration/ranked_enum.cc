@@ -5,35 +5,17 @@
 
 namespace mintri {
 
-namespace {
-
-void InsertSorted(std::vector<int>* v, int id) {
-  v->insert(std::upper_bound(v->begin(), v->end(), id), id);
-}
-
-void EraseSorted(std::vector<int>* v, int id) {
-  auto it = std::lower_bound(v->begin(), v->end(), id);
-  assert(it != v->end() && *it == id);
-  v->erase(it);
-}
-
-}  // namespace
-
 RankedTriangulationEnumerator::RankedTriangulationEnumerator(
     const TriangulationContext& ctx, const BagCost& cost)
     : ctx_(ctx), solver_(ctx, cost) {
   ++num_optimizer_calls_;
   std::optional<Triangulation> first = solver_.Solve({}, {});
   if (first.has_value()) {
-    Push(std::move(*first), -1);
+    const CostValue c = first->cost;
+    queue_.push({c, sequence_++, std::move(first), -1});
   } else {
     exhausted_ = true;
   }
-}
-
-void RankedTriangulationEnumerator::Push(Triangulation t, int constraints) {
-  Entry e{t.cost, sequence_++, std::move(t), constraints};
-  queue_.push(std::move(e));
 }
 
 void RankedTriangulationEnumerator::CollectConstraints(
@@ -48,25 +30,14 @@ void RankedTriangulationEnumerator::CollectConstraints(
   std::sort(exclude->begin(), exclude->end());
 }
 
-std::optional<Triangulation> RankedTriangulationEnumerator::Next() {
-  // A truncated stream stays truncated: part of some Lawler–Murty expansion
-  // was skipped, so continuing would silently drop or misorder results.
-  if (exhausted_ || truncated_ || queue_.empty()) {
-    exhausted_ = true;
-    return std::nullopt;
-  }
-  // Moving out of top() is safe: the comparator only reads the trivially
-  // copyable cost/sequence fields, which moving leaves intact.
-  Entry top = std::move(const_cast<Entry&>(queue_.top()));
-  queue_.pop();
-
+void RankedTriangulationEnumerator::Expand(const Entry& top) {
   std::vector<int> include, exclude;
   CollectConstraints(top.constraints, &include, &exclude);
 
-  // Split the remainder of [I, X] along MinSep(H) \ I (lines 7-13).
+  // Split the remainder of [I, X] along MinSep(H) \ I.
   std::vector<int> h_seps;
-  h_seps.reserve(top.triangulation.separators.size());
-  for (const VertexSet& s : top.triangulation.separators) {
+  h_seps.reserve(top.triangulation->separators.size());
+  for (const VertexSet& s : top.triangulation->separators) {
     int id = ctx_.SeparatorId(s);
     assert(id >= 0);  // every adhesion is a minimal separator of G
     h_seps.push_back(id);
@@ -78,38 +49,67 @@ std::optional<Triangulation> RankedTriangulationEnumerator::Next() {
 
   // Partition i: [I ∪ {S_1..S_{i-1}}, X ∪ {S_i}]. The include prefix is
   // shared between siblings through the arena chain; each partition is one
-  // exclude node hanging off it. Consecutive solver calls differ by at most
-  // three separators, so each is an incremental repair.
+  // exclude node hanging off it. Each is queued unsolved at the popped
+  // cost, a lower bound on its own minimum.
   int chain = top.constraints;
   for (size_t i = 0; i < free_seps.size(); ++i) {
     const int s = free_seps[i];
-    InsertSorted(&exclude, s);
     arena_.push_back({s, chain, false});
-    const int partition = static_cast<int>(arena_.size()) - 1;
-    ++num_optimizer_calls_;
-    std::optional<Triangulation> h = solver_.Solve(include, exclude);
-    if (solver_.truncated()) {
-      // Out of budget mid-expansion. The popped result is already correct —
-      // hand it out — but the stream ends here, truthfully marked.
-      truncated_ = true;
-      break;
-    }
-    if (h.has_value()) {
-      // The solver returned a finite-cost triangulation, which under
-      // κ[I_i, X_i] already implies H ⊨ [I_i, X_i] (the satisfaction test
-      // of line 12), ranked by the *unconstrained* cost — equal for
-      // satisfying triangulations by Equation (2).
-      Push(std::move(*h), partition);
-    }
-    EraseSorted(&exclude, s);
+    queue_.push({top.cost, sequence_++, std::nullopt,
+                 static_cast<int>(arena_.size()) - 1});
     if (i + 1 < free_seps.size()) {
       arena_.push_back({s, chain, true});
       chain = static_cast<int>(arena_.size()) - 1;
-      InsertSorted(&include, s);
     }
   }
+}
 
-  return std::move(top.triangulation);
+std::optional<Triangulation> RankedTriangulationEnumerator::Next() {
+  // A truncated stream stays truncated: part of the Lawler–Murty tree was
+  // never solved, so continuing would silently drop or misorder results.
+  if (exhausted_ || truncated_) return std::nullopt;
+  std::vector<int> include, exclude;
+  while (!queue_.empty()) {
+    // Moving out of top() is safe: the comparator only reads cost,
+    // sequence and whether the optional is engaged, which moving leaves
+    // intact.
+    Entry top = std::move(const_cast<Entry&>(queue_.top()));
+    queue_.pop();
+
+    if (!top.triangulation.has_value()) {
+      // An unsolved partition reached the top: solve it once. Its
+      // representative costs at least the key it was queued at, so it goes
+      // back in at its own cost and pops when that cost is the minimum.
+      CollectConstraints(top.constraints, &include, &exclude);
+      ++num_optimizer_calls_;
+      std::optional<Triangulation> h = solver_.Solve(include, exclude);
+      if (solver_.truncated()) {
+        truncated_ = true;
+        return std::nullopt;
+      }
+      // A finite-cost result under κ[I, X] already satisfies [I, X] (the
+      // satisfaction test of line 12), and is ranked by the unconstrained
+      // cost — equal for satisfying triangulations by Equation (2). An
+      // empty partition is simply dropped.
+      if (h.has_value()) {
+        top.cost = h->cost;
+        top.triangulation = std::move(h);
+        queue_.push(std::move(top));
+      }
+      continue;
+    }
+
+    // A solved entry at the top is the next result (lines 5-6).
+    Expand(top);
+    // Out of budget: hand out this result, which is already correct, but
+    // end the stream here, truthfully marked, rather than solve on.
+    if (deadline_ != nullptr && !queue_.empty() && deadline_->Expired()) {
+      truncated_ = true;
+    }
+    return std::move(top.triangulation);
+  }
+  exhausted_ = true;
+  return std::nullopt;
 }
 
 }  // namespace mintri

@@ -42,11 +42,11 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
     return exact ? std::numeric_limits<double>::infinity()
                  : tier_options.exact_budget_seconds - budget_timer.Seconds();
   };
-  for (const VertexSet& comp_vertices : g.ConnectedComponents()) {
-    std::vector<int> comp_old_of_new(comp_vertices.Count());
-    int next = 0;
-    comp_vertices.ForEach([&](int v) { comp_old_of_new[next++] = v; });
-    Graph sub = g.InducedSubgraph(comp_vertices);
+  std::vector<std::vector<int>> comp_labels;
+  std::vector<Graph> comp_subgraphs = g.ComponentSubgraphs(&comp_labels);
+  for (size_t comp = 0; comp < comp_subgraphs.size(); ++comp) {
+    const Graph& sub = comp_subgraphs[comp];
+    std::vector<int>& comp_old_of_new = comp_labels[comp];
 
     if (exact || !tier_options.decomposable_cost) {
       if (!AddUnit(sub, std::move(comp_old_of_new), options, tier_options,
@@ -74,15 +74,16 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
     if (pre.info.vertices_removed > 0 || pre.atoms.size() > 1) {
       lifted_ = true;
     }
+    // Sorted g labels: comp_old_of_new is increasing.
     auto relabel = [&](const VertexSet& set) {
-      VertexSet out(g_.NumVertices());
-      set.ForEach([&](int v) { out.Insert(comp_old_of_new[v]); });
+      std::vector<int> out;
+      set.ForEach([&](int v) { out.push_back(comp_old_of_new[v]); });
       return out;
     };
     for (const EliminatedVertex& ev : pre.eliminated) {
-      VertexSet neighbors = relabel(ev.bag);
+      std::vector<int> neighbors = relabel(ev.bag);
       const int vertex = comp_old_of_new[ev.vertex];
-      neighbors.Erase(vertex);
+      neighbors.erase(std::find(neighbors.begin(), neighbors.end(), vertex));
       lifts_.push_back({vertex, std::move(neighbors)});
     }
     // Orient the atom tree away from each tree's first atom, parents first,
@@ -352,17 +353,19 @@ Triangulation TieredEnumerator::Assemble(const std::vector<size_t>& indices) {
   for (int id = 0; id < static_cast<int>(bags.size()); ++id) {
     bags[id].ForEach([&](int v) { holders_[v].push_back(id); });
   }
-  // A bag ⊇ set with id in [lo, hi), found among the holders of the set's
-  // rarest vertex.
-  auto find_bag = [&](const VertexSet& set, int lo, int hi) {
-    int rarest = -1;
-    set.ForEach([&](int v) {
-      if (rarest < 0 || holders_[v].size() < holders_[rarest].size()) {
-        rarest = v;
-      }
-    });
+  // A bag ⊇ set (non-empty) with id in [lo, hi), found among the holders
+  // of the set's rarest vertex.
+  auto find_bag = [&](const std::vector<int>& set, int lo, int hi) {
+    int rarest = set.front();
+    for (const int v : set) {
+      if (holders_[v].size() < holders_[rarest].size()) rarest = v;
+    }
+    const auto contains_set = [&](int id) {
+      return std::all_of(set.begin(), set.end(),
+                         [&](int v) { return bags[id].Contains(v); });
+    };
     for (const int id : holders_[rarest]) {
-      if (id >= lo && id < hi && set.IsSubsetOf(bags[id])) return id;
+      if (id >= lo && id < hi && contains_set(id)) return id;
     }
     assert(false && "a clique of the glued triangulation lies in no bag");
     return -1;
@@ -391,18 +394,20 @@ Triangulation TieredEnumerator::Assemble(const std::vector<size_t>& indices) {
   // N(v) is the only one, and it would lie inside N[v]: it absorbs the lift
   // bag in place, keeping its tree edges. An empty N(v) starts a new tree.
   for (auto it = lifts_.rbegin(); it != lifts_.rend(); ++it) {
-    VertexSet bag = it->neighbors;
+    const std::vector<int>& neighbors = it->neighbors;
+    VertexSet bag(n);
+    for (const int v : neighbors) bag.Insert(v);
     bag.Insert(it->vertex);
-    const int z = it->neighbors.Empty()
+    const int z = neighbors.empty()
                       ? -1
-                      : find_bag(it->neighbors, 0,
-                                 static_cast<int>(bags.size()));
-    if (z >= 0 && bags[z].Count() == it->neighbors.Count()) {
+                      : find_bag(neighbors, 0, static_cast<int>(bags.size()));
+    if (z >= 0 && bags[z].Count() == static_cast<int>(neighbors.size())) {
       holders_[it->vertex].push_back(z);
       bags[z] = std::move(bag);
     } else {
       const int id = static_cast<int>(bags.size());
-      bag.ForEach([&](int v) { holders_[v].push_back(id); });
+      for (const int v : neighbors) holders_[v].push_back(id);
+      holders_[it->vertex].push_back(id);
       bags.push_back(std::move(bag));
       parent.push_back(z);
     }

@@ -185,14 +185,14 @@ class TieredEnumerator {
   /// elimination time is a maximal clique of every assembled triangulation.
   struct Lift {
     int vertex;
-    VertexSet neighbors;  // N(v) at elimination time
+    std::vector<int> neighbors;  // N(v) at elimination time, sorted
   };
   /// An atom-tree link (Preprocess's AtomLink) between two units, oriented
   /// so that every parent unit is linked before it is anyone's child.
   struct Link {
     int parent_unit;
     int child_unit;
-    VertexSet separator;  // g labels
+    std::vector<int> separator;  // g labels, sorted
   };
   std::vector<Lift> lifts_;  // in elimination order
   std::vector<Link> links_;

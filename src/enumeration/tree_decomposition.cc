@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "chordal/clique_tree.h"
 #include "chordal/minimality.h"
@@ -129,9 +130,9 @@ void WritePaceTd(const TreeDecomposition& td, int num_graph_vertices,
   }
 }
 
-TreeDecomposition CliqueTreeOf(const Triangulation& t) {
+TreeDecomposition CliqueTreeOf(Triangulation t) {
   TreeDecomposition td;
-  td.bags = t.bags;
+  td.bags = std::move(t.bags);
   for (size_t i = 0; i < t.parent.size(); ++i) {
     if (t.parent[i] >= 0) {
       td.edges.emplace_back(t.parent[i], static_cast<int>(i));

@@ -31,7 +31,9 @@ struct TreeDecomposition {
 };
 
 /// The clique tree carried by a Triangulation, as a TreeDecomposition.
-TreeDecomposition CliqueTreeOf(const Triangulation& t);
+/// Takes `t` by value: a caller done with it moves it in, and the bags are
+/// moved rather than copied.
+TreeDecomposition CliqueTreeOf(Triangulation t);
 
 /// Writes the decomposition in the PACE ".td" exchange format:
 ///   s td <#bags> <max-bag-size> <n>

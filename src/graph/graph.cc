@@ -1,5 +1,6 @@
 #include "graph/graph.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "graph/bitset_kernels.h"
@@ -84,6 +85,41 @@ Graph Graph::InducedSubgraph(const VertexSet& keep,
 
 std::vector<VertexSet> Graph::ConnectedComponents() const {
   return ComponentsAfterRemoving(VertexSet(n_));
+}
+
+std::vector<Graph> Graph::ComponentSubgraphs(
+    std::vector<std::vector<int>>* old_of_new) const {
+  std::vector<Graph> subgraphs;
+  old_of_new->clear();
+  // label[v]: -1 until v is reached, then v's index within its component
+  // (0 as a placeholder until the component is complete and sorted).
+  std::vector<int> label(n_, -1);
+  std::vector<std::pair<int, int>> edges;
+  for (int start = 0; start < n_; ++start) {
+    if (label[start] >= 0) continue;
+    std::vector<int> component = {start};
+    label[start] = 0;
+    edges.clear();
+    for (size_t i = 0; i < component.size(); ++i) {
+      const int u = component[i];
+      adjacency_[u].ForEach([&](int v) {
+        if (label[v] < 0) {
+          label[v] = 0;
+          component.push_back(v);
+        }
+        if (u < v) edges.emplace_back(u, v);
+      });
+    }
+    std::sort(component.begin(), component.end());
+    for (size_t i = 0; i < component.size(); ++i) {
+      label[component[i]] = static_cast<int>(i);
+    }
+    Graph sub(static_cast<int>(component.size()));
+    for (const auto& [u, v] : edges) sub.AddEdge(label[u], label[v]);
+    subgraphs.push_back(std::move(sub));
+    old_of_new->push_back(std::move(component));
+  }
+  return subgraphs;
 }
 
 std::vector<VertexSet> Graph::ComponentsAfterRemoving(

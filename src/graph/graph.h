@@ -57,6 +57,14 @@ class Graph {
   /// Connected components of the whole graph.
   std::vector<VertexSet> ConnectedComponents() const;
 
+  /// The subgraph induced by each connected component, in
+  /// ConnectedComponents() order and relabeled like InducedSubgraph;
+  /// (*old_of_new)[c][i] is the original label of vertex i of component c.
+  /// One BFS over the adjacency rows, so a graph with many small components
+  /// costs one n-bit row per vertex in total, not n-bit work per component.
+  std::vector<Graph> ComponentSubgraphs(
+      std::vector<std::vector<int>>* old_of_new) const;
+
   /// Connected components of G \ removed (i.e., of the subgraph induced by
   /// the complement of `removed`), as vertex sets of the original graph.
   /// Hot paths should prefer a reused ComponentScanner (below), which also

@@ -116,9 +116,9 @@ CostValue MinTriangSolver::EvalCandidate(int node, size_t k) {
                     NodeVertices(node),
                     child_blocks_buf_,
                     child_costs_buf_};
-  if (CombineViolatesConstraints(cc, include_sets_, exclude_sets_)) {
-    return kInfiniteCost;
-  }
+  // Both callers skip candidates with blocked[k] > 0, which is exactly
+  // the set CombineViolatesConstraints rejects; checked in debug builds.
+  assert(!CombineViolatesConstraints(cc, include_sets_, exclude_sets_));
   ++num_combine_calls_;
   return cost_.Combine(cc);
 }

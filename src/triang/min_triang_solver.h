@@ -48,16 +48,22 @@ namespace mintri {
 /// The repaired tables are *identical* to a from-scratch DP (same values,
 /// same first-minimum choice per block), so results are byte-for-byte equal
 /// to MinTriang over ConstrainedCost — the differential test suite pins
-/// this on randomized constraint walks. This is what makes the k
-/// constrained MinTriang calls per RankedTriang output cheap: sibling
-/// Lawler–Murty partitions differ by O(1) separators, so each call repairs
-/// a handful of blocks instead of re-filling every table (the same
-/// amortization argument the paper uses against CKK for initialization,
-/// applied to the per-result optimizer calls).
+/// this on randomized constraint walks. This is what makes RankedTriang's
+/// constrained calls cheap: it solves its Lawler–Murty partitions lazily,
+/// in first-in first-out order, so consecutive calls are mostly siblings
+/// that differ by O(1) separators, and each call repairs a handful of
+/// blocks instead of re-filling every table (the same amortization argument
+/// the paper uses against CKK for initialization, applied to the
+/// per-result optimizer calls). Each partition is solved at most once, so
+/// there are never more calls than the eager 1 + Σ|MinSep(H)| over the
+/// results — about 1.3 per result on grids — but they bunch up at the end
+/// of each κ level, so the worst-case delay between two results grows with
+/// the number of pending partitions (see enumeration/ranked_enum.h).
 ///
 /// `ctx` and `cost` must outlive the solver. `cost` is the *base* cost κ;
-/// the [I,X] wrapping is applied inside the solver via the same
-/// CombineViolatesConstraints test as ConstrainedCost. (Passing a
+/// the [I,X] wrapping is applied inside the solver through the blocked
+/// counters below, which agree with ConstrainedCost's
+/// CombineViolatesConstraints test (asserted in debug builds). (Passing a
 /// ConstrainedCost as `cost` with empty I/X is also valid — that is exactly
 /// what the MinTriang wrapper does.)
 class MinTriangSolver {
@@ -155,8 +161,8 @@ class MinTriangSolver {
   // candidates and re-picks each touched block's optimum.
   void Repair(bool full);
 
-  // Evaluates candidate k of `node` under the current constraints (∞ when a
-  // child is infeasible or [I,X] is violated at this bag).
+  // Evaluates candidate k of `node` (∞ when a child is infeasible). The
+  // caller has already skipped candidates that violate [I,X] at this bag.
   CostValue EvalCandidate(int node, size_t k);
 
   // Builds the Triangulation from the solved tables (Appendix A: one bag

@@ -153,11 +153,14 @@ TEST(CliTest, SolverFlagIsGoneAndStatsNameTheOneEngine) {
   }
 
   // --stats reports the solver's counters, including the segment-tree
-  // activity every repair goes through.
+  // activity every repair goes through, and the result count, so calls per
+  // result read straight off the line.
   CliResult stats = Invoke({"--cost=fill", "--top=10", "--stats"}, kC4);
   EXPECT_EQ(stats.code, 0) << stats.err;
   EXPECT_NE(stats.err.find("\nsolver: optimizer_calls="), std::string::npos)
       << stats.err;
+  // ... and how many results those calls paid for (C4 has two).
+  EXPECT_NE(stats.err.find(" results=2\n"), std::string::npos) << stats.err;
   EXPECT_EQ(stats.err.find("solver["), std::string::npos) << stats.err;
   EXPECT_EQ(stats.err.find("index_updates=0 range_queries=0"),
             std::string::npos)

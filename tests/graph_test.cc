@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "test_util.h"
+#include "workloads/random_graphs.h"
 
 namespace mintri {
 namespace {
@@ -77,6 +78,28 @@ TEST(GraphTest, ConnectedComponents) {
   EXPECT_EQ(comps[2], VertexSet::Of(6, {5}));
   EXPECT_FALSE(g.IsConnected());
   EXPECT_TRUE(MakeGraph(3, {{0, 1}, {1, 2}}).IsConnected());
+}
+
+TEST(GraphTest, ComponentSubgraphsMatchInducedComponents) {
+  // One BFS pass must give what ConnectedComponents + InducedSubgraph give,
+  // in the same order, including isolated vertices.
+  std::vector<Graph> graphs = {Graph(0), Graph(4),
+                               MakeGraph(6, {{0, 1}, {1, 2}, {3, 4}})};
+  for (int seed = 0; seed < 8; ++seed) {
+    graphs.push_back(workloads::ErdosRenyi(40 + 30 * seed, 0.02, 900 + seed));
+  }
+  for (size_t gi = 0; gi < graphs.size(); ++gi) {
+    const Graph& g = graphs[gi];
+    std::vector<std::vector<int>> labels;
+    std::vector<Graph> subs = g.ComponentSubgraphs(&labels);
+    std::vector<VertexSet> comps = g.ConnectedComponents();
+    ASSERT_EQ(subs.size(), comps.size()) << "graph " << gi;
+    ASSERT_EQ(labels.size(), comps.size()) << "graph " << gi;
+    for (size_t c = 0; c < comps.size(); ++c) {
+      EXPECT_EQ(labels[c], comps[c].ToVector()) << "graph " << gi;
+      EXPECT_EQ(subs[c], g.InducedSubgraph(comps[c])) << "graph " << gi;
+    }
+  }
 }
 
 TEST(GraphTest, ComponentsAfterRemoving) {
