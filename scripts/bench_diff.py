@@ -3,8 +3,8 @@
 
 Usage: bench_diff.py [--threshold=PCT] [--json=FILE] BASELINE.json CURRENT.json
 
-Matches entries across the two reports on (suite, graph, threads, solver,
-cost, tier), groups the matches by (suite, family), and prints a markdown delta
+Matches entries across the two reports on (suite, graph, threads, cost,
+tier), groups the matches by (suite, family), and prints a markdown delta
 table of per-family median ratios:
 
   * results_per_sec — higher is better; the regression gate.
@@ -13,19 +13,29 @@ table of per-family median ratios:
                       timer noise.
   * cache_hit_rate  — informational only (absolute delta).
 
+It also gates on what must repeat exactly, entry by entry:
+
+  * an entry `complete` on both sides must keep its count, best_cost and
+    best_count (the full stream is the same work on any machine);
+  * a `ranked` entry with results on both sides must keep its best_cost
+    (the first result of a ranked stream is the optimum).
+
+Both checks are skipped when the baseline entry lacks best_cost/best_count,
+as reports from before those fields do.
+
 With --json=FILE the same per-family rows (plus the git shas, threshold,
 and match counts) are additionally written to FILE as one machine-readable
 JSON document, so CI can upload the delta as an artifact and the cross-PR
 perf trajectory can be assembled by concatenating those files instead of
 re-parsing markdown tables.
 
-Exit status: 0 when no family regresses past the threshold (default 25%),
-1 when at least one does, 2 on usage/IO errors or when the two reports
+Exit status: 0 when no family regresses past the threshold (default 25%)
+and every repeatable field repeats, 1 otherwise, 2 on usage/IO errors or when the two reports
 share no entries at all (e.g. diffing unrelated artifacts). --json output
 is written for statuses 0 and 1 (a regression is still a valid delta).
 
-Both schema_version 1 and 2 reports load; v1 entries simply key with empty
-solver/cost fields, so a v1-vs-v2 diff degrades to the overlapping subset
+Both schema_version 1 and 2 reports load; v1 entries simply key with an
+empty cost field, so a v1-vs-v2 diff degrades to the overlapping subset
 instead of erroring out. validate_bench_json.py imports entry_key /
 index_entries from here for its --compare smoke hook, so the two tools can
 never disagree about what "the same benchmark point" means.
@@ -63,8 +73,8 @@ def load_report(path):
 def entry_key(entry):
     """Identity of one benchmark point, stable across schema versions."""
     return (entry.get("suite", ""), entry.get("graph", ""),
-            entry.get("threads", 0), entry.get("solver", ""),
-            entry.get("cost", ""), entry.get("tier", ""))
+            entry.get("threads", 0), entry.get("cost", ""),
+            entry.get("tier", ""))
 
 
 def index_entries(entries):
@@ -75,16 +85,41 @@ def _family_of(entry):
     return (entry.get("suite", ""), entry.get("family", ""))
 
 
+def repeat_mismatches(b, n):
+    """The fields of one matched entry that must repeat but did not."""
+    if "best_cost" not in b or "best_count" not in b:
+        return []
+    fields = []
+    if b.get("status") == "complete" and n.get("status") == "complete":
+        fields = ["count", "best_cost", "best_count"]
+    elif (b.get("suite") == "ranked" and b.get("count", 0) > 0
+          and n.get("count", 0) > 0):
+        fields = ["best_cost"]
+    return [f"{f} {b.get(f)} -> {n.get(f)}" for f in fields
+            if b.get(f) != n.get(f)]
+
+
 def compare(base_report, new_report, threshold_pct,
             init_floor=INIT_FLOOR_SECONDS):
-    """Returns {rows, matched, base_only, new_only, regressions}."""
+    """Returns {rows, matched, base_only, new_only, regressions,
+    mismatches}."""
     base_index = index_entries(base_report["entries"])
     new_index = index_entries(new_report["entries"])
     matched_keys = sorted(set(base_index) & set(new_index))
 
     families = {}
+    mismatches = []
     for key in matched_keys:
         b, n = base_index[key], new_index[key]
+        changed = repeat_mismatches(b, n)
+        if changed:
+            suite, graph, threads, cost, tier = key
+            label = f"{suite}/{graph} threads={threads}"
+            if cost:
+                label += f" cost={cost}"
+            if tier:
+                label += f" tier={tier}"
+            mismatches.append({"entry": label, "changes": changed})
         fam = families.setdefault(_family_of(b),
                                   {"count": 0, "throughput": [], "init": [],
                                    "cache": []})
@@ -133,6 +168,7 @@ def compare(base_report, new_report, threshold_pct,
         "base_only": len(base_index) - len(matched_keys),
         "new_only": len(new_index) - len(matched_keys),
         "regressions": regressions,
+        "mismatches": mismatches,
     }
 
 
@@ -159,6 +195,11 @@ def render_markdown(result, base_report, new_report, threshold_pct):
                      f"| {_fmt_ratio(row['throughput_ratio'])} "
                      f"| {_fmt_ratio(row['init_ratio'])} "
                      f"| {cache} | {verdict} |")
+    if result["mismatches"]:
+        lines.append("")
+        lines.append("Entries whose repeatable fields changed:")
+        for m in result["mismatches"]:
+            lines.append(f"- MISMATCH {m['entry']}: {'; '.join(m['changes'])}")
     lines.append("")
     lines.append(f"Matched {result['matched']} entries; "
                  f"{result['base_only']} only in baseline; "
@@ -179,8 +220,9 @@ def render_json(result, base_report, new_report, threshold_pct):
         "matched": result["matched"],
         "base_only": result["base_only"],
         "new_only": result["new_only"],
-        "regressed": bool(result["regressions"]),
+        "regressed": bool(result["regressions"] or result["mismatches"]),
         "families": result["rows"],
+        "mismatches": result["mismatches"],
     }
 
 
@@ -228,9 +270,15 @@ def main(argv=None):
             print(f"bench_diff: FAIL: cannot write {args.json}: {e}",
                   file=sys.stderr)
             return 2
-    if result["regressions"]:
-        names = ", ".join(r["family"] for r in result["regressions"])
-        print(f"bench_diff: REGRESSION in {names}", file=sys.stderr)
+    if result["regressions"] or result["mismatches"]:
+        if result["regressions"]:
+            names = ", ".join(r["family"] for r in result["regressions"])
+            print(f"bench_diff: REGRESSION in {names}", file=sys.stderr)
+        if result["mismatches"]:
+            print(f"bench_diff: {len(result['mismatches'])} entries did not "
+                  f"repeat: "
+                  + ", ".join(m["entry"] for m in result["mismatches"]),
+                  file=sys.stderr)
         return 1
     print(f"bench_diff: OK: {result['matched']} entries, "
           f"{len(result['rows'])} families within ±{args.threshold:g}%",

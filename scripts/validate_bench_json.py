@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Schema validation for BENCH_core.json (the bench_runner report).
+"""Schema validation for BENCH_core.json (the `mintri bench` report).
 
 Usage:
   validate_bench_json.py [--smoke] [--compare=BASELINE.json] BENCH_core.json
@@ -48,16 +48,19 @@ ENTRY = {
     "index_updates": int,
     "range_queries": int,
     "cache_hit_rate": float,
+    "best_cost": float,
+    "best_count": int,
     "tier": str,
     "status": str,
 }
 
-KNOWN_SUITES = {"minseps", "pmc", "enum", "ranked", "appcost", "huge"}
+KNOWN_SUITES = {"minseps", "pmc", "ranked", "ckk", "appcost", "huge"}
 # ms-terminated / pmc-terminated are the Fig. 5 taxonomy of which context
 # initialization stage hit its limits; cost-error marks an appcost case
-# whose cost model could not be constructed.
+# whose cost model could not be constructed; disconnected marks a ckk entry
+# on a graph the CKK baseline cannot run on.
 KNOWN_STATUSES = {"complete", "truncated", "ms-terminated", "pmc-terminated",
-                  "cost-error"}
+                  "cost-error", "disconnected"}
 # The application costs the appcost suite ranks by.
 APPCOST_COSTS = {"hypertree", "fhw", "state-space"}
 # The tiered pipeline's truthful stream labels (huge-suite entries only;
@@ -263,6 +266,9 @@ def main():
         if any(entry[k] < 0 for k in ("candidate_evals", "combine_calls",
                                       "index_updates", "range_queries")):
             fail(f"{where}: negative solver counter")
+        if not 0 <= entry["best_count"] <= entry["count"]:
+            fail(f"{where}: best_count {entry['best_count']} outside "
+                 f"[0, count={entry['count']}]")
         if entry["suite"] == "appcost":
             if entry["cost"] not in APPCOST_COSTS:
                 fail(f"{where}: appcost entry has cost {entry['cost']!r}, "

@@ -1,12 +1,14 @@
 #include "bench/bench_suites.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <cassert>
 #include <cstdlib>
+#include <iterator>
+#include <optional>
 #include <sstream>
 
 #include "cost/cost_model_registry.h"
-#include "cost/standard_costs.h"
+#include "enumeration/ckk.h"
 #include "enumeration/tiered_enum.h"
 #include "parallel/thread_pool.h"
 #include "pmc/potential_maximal_cliques.h"
@@ -28,15 +30,38 @@ namespace bench {
 
 namespace {
 
-// Smoke mode trims the sweep to a CI-sized gate: cheap, deterministic,
-// always-tractable families, few graphs each, tight budgets.
+// All wall-clock budgets are the paper's limits scaled down so a full run
+// finishes in minutes (the paper's Section 7 runs take server-days).
+// MINTRI_TIME_SCALE multiplies every budget (e.g. MINTRI_TIME_SCALE=10 for a
+// slower, more faithful run).
+double TimeScale() {
+  const char* env = std::getenv("MINTRI_TIME_SCALE");
+  if (env == nullptr) return 1.0;
+  double v = std::atof(env);
+  return v > 0 ? v : 1.0;
+}
+
+double MinSepBudget() { return 0.5 * TimeScale(); }  // paper: 60 s
+double PmcBudget() { return 2.5 * TimeScale(); }     // paper: 30 min
+double EnumBudget() { return 1.5 * TimeScale(); }    // paper: 30 min
+
+constexpr size_t kMaxSeparators = 200000;
+constexpr long long kMaxResults = 100000;
+
+// Smoke mode trims the sweep to a CI-sized gate: cheap, always-tractable
+// families and few graphs each. It keeps the full budgets and instead caps
+// every ranking entry at a fixed number of results, so that its counts are
+// fixed work and repeat from run to run.
 constexpr int kSmokeGraphsPerFamily = 3;
-constexpr double kSmokeBudgetFactor = 0.25;
+constexpr long long kSmokeMaxResults = 100;
 const char* const kSmokeFamilies[] = {"Grids", "CSP", "TPC-H"};
+
+// The ranked and ckk suites run every graph once per cost: Table 2's width
+// and fill-in columns.
+const char* const kTableCosts[] = {"width", "fill"};
 
 struct SuiteContext {
   bool smoke = false;
-  double budget_factor = 1.0;
   int threads = 1;
 };
 
@@ -68,12 +93,77 @@ void FinishEntry(BenchEntry* e, long long count, double wall_seconds,
   e->status = status;
 }
 
+// What the timed loop saw of one ranked (or CKK) result stream.
+struct StreamRun {
+  long long count = 0;
+  double first_result_seconds = 0;
+  bool exhausted = false;  // the stream ended before the budget or the cap
+};
+
+// The timed loop of every suite that ranks. `next_cost` yields the cost of
+// the stream's next result, or std::nullopt when the stream ends. Pulls
+// results until then, until `timer` reaches `budget` or until the result
+// cap; records the first-result time, and into `e` the lowest cost among
+// the results and how many results reach it.
+template <typename NextCost>
+StreamRun DrainStream(const SuiteContext& ctx, double budget,
+                      const WallTimer& timer, NextCost next_cost,
+                      BenchEntry* e) {
+  const long long cap = ctx.smoke ? kSmokeMaxResults : kMaxResults;
+  StreamRun run;
+  while (timer.Seconds() < budget && run.count < cap) {
+    std::optional<CostValue> cost = next_cost();
+    if (!cost.has_value()) {
+      run.exhausted = true;
+      break;
+    }
+    if (++run.count == 1) run.first_result_seconds = timer.Seconds();
+    if (run.count == 1 || *cost < e->best_cost) {
+      e->best_cost = *cost;
+      e->best_count = 1;
+    } else if (*cost == e->best_cost) {
+      ++e->best_count;
+    }
+  }
+  return run;
+}
+
+std::optional<CostValue> NextCost(TieredEnumerator& enumerator) {
+  std::optional<TieredResult> r = enumerator.Next();
+  if (!r.has_value()) return std::nullopt;
+  return r->triangulation.cost;
+}
+
+std::optional<CostValue> NextCost(CkkEnumerator& enumerator) {
+  std::optional<Triangulation> t = enumerator.Next();
+  if (!t.has_value()) return std::nullopt;
+  return t->cost;
+}
+
+// Triangulations per second after the first result: the paper's
+// enumeration-rate measure, which leaves out the one-off initialization.
+double RateAfterFirstResult(const StreamRun& run, double wall_seconds) {
+  return (run.count > 1 && wall_seconds > run.first_result_seconds)
+             ? (run.count - 1) / (wall_seconds - run.first_result_seconds)
+             : 0.0;
+}
+
+// Builds a plain-graph cost ("width" or "fill") through the registry, the
+// same way `mintri rank --cost=` does.
+CostModel GraphCostModel(const std::string& cost_name) {
+  std::optional<CostModel> model =
+      MakeCostModel(cost_name, CostModelInstance{}, /*enable_cache=*/false,
+                    /*error=*/nullptr);
+  assert(model.has_value());
+  return std::move(*model);
+}
+
 BenchEntry RunMinSeps(const SuiteContext& ctx,
                       const workloads::DatasetFamily& family,
                       const workloads::DatasetGraph& dg) {
   BenchEntry e = MakeEntry("minseps", ctx, family, dg);
   EnumerationLimits limits;
-  limits.time_limit_seconds = MinSepBudget() * ctx.budget_factor;
+  limits.time_limit_seconds = MinSepBudget();
   limits.max_results = kMaxSeparators;
   limits.num_threads = ctx.threads;
   WallTimer timer;
@@ -90,7 +180,7 @@ BenchEntry RunPmc(const SuiteContext& ctx,
                   const workloads::DatasetGraph& dg) {
   BenchEntry e = MakeEntry("pmc", ctx, family, dg);
   EnumerationLimits sep_limits;
-  sep_limits.time_limit_seconds = MinSepBudget() * ctx.budget_factor;
+  sep_limits.time_limit_seconds = MinSepBudget();
   sep_limits.max_results = kMaxSeparators;
   sep_limits.num_threads = ctx.threads;
   WallTimer timer;
@@ -100,7 +190,7 @@ BenchEntry RunPmc(const SuiteContext& ctx,
     return e;
   }
   PmcOptions options;
-  options.limits.time_limit_seconds = PmcBudget() * ctx.budget_factor;
+  options.limits.time_limit_seconds = PmcBudget();
   options.limits.num_threads = ctx.threads;
   timer.Reset();
   PmcResult pmcs =
@@ -120,65 +210,32 @@ ContextOptions MakeContextOptions(const SuiteContext& ctx, double budget) {
   return options;
 }
 
-// The enum, ranked and appcost suites measure the exact ranked product over
-// the connected components: no Tier 0, no shared budget, no fallback.
+// The ranked and appcost suites measure the exact ranked product over the
+// connected components: no Tier 0, no shared budget, no fallback.
 TierOptions ExactTierOptions() {
   TierOptions tier_options;
   tier_options.mode = TierOptions::Mode::kExact;
   return tier_options;
 }
 
-BenchEntry RunEnum(const SuiteContext& ctx,
-                   const workloads::DatasetFamily& family,
-                   const workloads::DatasetGraph& dg) {
-  BenchEntry e = MakeEntry("enum", ctx, family, dg);
-  e.cost = "width";
-  const double budget = EnumBudget() * ctx.budget_factor;
-  ContextOptions options = MakeContextOptions(ctx, budget);
-  WidthCost cost;
-  WallTimer timer;
-  TieredEnumerator enumerator(dg.graph, cost, CostComposition::kMax, options,
-                              {}, ExactTierOptions());
-  e.init_seconds = enumerator.init_seconds();
-  if (!enumerator.init_ok()) {
-    FinishEntry(&e, 0, timer.Seconds(),
-                enumerator.init_info().TerminationName());
-    return e;
-  }
-  long long count = 0;
-  bool finished = false;
-  while (timer.Seconds() < budget &&
-         count < static_cast<long long>(kMaxResults)) {
-    if (!enumerator.Next().has_value()) {
-      finished = true;
-      break;
-    }
-    ++count;
-  }
-  FinishEntry(&e, count, timer.Seconds(),
-              finished ? "complete" : "truncated");
-  return e;
-}
-
-// The ranked suite is the Fig. 5 / Table 2 experiment class end to end:
-// context initialization at the entry's thread count, then ranked
-// enumeration, reporting init_seconds and the after-first-result
-// throughput (the paper's enumeration-rate measure, which excludes the
-// one-off initialization the pipeline amortizes). The enumeration budget
-// doubles as a solver deadline, so a repair pass that overruns is cut
-// inside the loop and reported truthfully as truncated rather than
-// blowing past the budget.
+// The ranked suite is RankedTriang's side of Table 2 end to end: context
+// initialization at the entry's thread count, then ranked enumeration,
+// reporting init_seconds and the after-first-result throughput. The
+// enumeration budget doubles as a solver deadline, so a repair pass that
+// overruns is cut inside the loop and reported truthfully as truncated
+// rather than blowing past the budget.
 BenchEntry RunRanked(const SuiteContext& ctx,
                      const workloads::DatasetFamily& family,
-                     const workloads::DatasetGraph& dg) {
+                     const workloads::DatasetGraph& dg,
+                     const std::string& cost_name) {
   BenchEntry e = MakeEntry("ranked", ctx, family, dg);
-  e.cost = "width";
-  const double budget = EnumBudget() * ctx.budget_factor;
+  e.cost = cost_name;
+  const CostModel model = GraphCostModel(cost_name);
+  const double budget = EnumBudget();
   ContextOptions options = MakeContextOptions(ctx, budget);
-  WidthCost cost;
   WallTimer timer;
-  TieredEnumerator enumerator(dg.graph, cost, CostComposition::kMax, options,
-                              {}, ExactTierOptions());
+  TieredEnumerator enumerator(dg.graph, *model.cost, model.composition,
+                              options, {}, ExactTierOptions());
   e.init_seconds = enumerator.init_seconds();
   if (!enumerator.init_ok()) {
     FinishEntry(&e, 0, timer.Seconds(),
@@ -187,27 +244,42 @@ BenchEntry RunRanked(const SuiteContext& ctx,
   }
   const Deadline deadline(budget);
   enumerator.SetDeadline(&deadline);
-  long long count = 0;
-  double first_result_seconds = 0;
-  bool finished = false;
-  while (timer.Seconds() < budget &&
-         count < static_cast<long long>(kMaxResults)) {
-    if (!enumerator.Next().has_value()) {
-      finished = !enumerator.truncated();
-      break;
-    }
-    ++count;
-    if (count == 1) first_result_seconds = timer.Seconds();
-  }
+  const StreamRun run = DrainStream(
+      ctx, budget, timer, [&] { return NextCost(enumerator); }, &e);
   const double wall = timer.Seconds();
-  FinishEntry(&e, count, wall, finished ? "complete" : "truncated");
-  e.results_per_sec = (count > 1 && wall > first_result_seconds)
-                          ? (count - 1) / (wall - first_result_seconds)
-                          : 0.0;
+  FinishEntry(&e, run.count, wall,
+              run.exhausted && !enumerator.truncated() ? "complete"
+                                                       : "truncated");
+  e.results_per_sec = RateAfterFirstResult(run, wall);
   e.candidate_evals = enumerator.num_candidate_evals();
   e.combine_calls = enumerator.num_combine_calls();
   e.index_updates = enumerator.num_index_updates();
   e.range_queries = enumerator.num_range_queries();
+  return e;
+}
+
+// The ckk suite is Table 2's baseline: the CKK enumerator over the same
+// graphs, budget and costs as the ranked suite. It has no initialization
+// and no order, so the cost only scores its results. CKK needs a connected
+// graph (as `mintri rank --algo=ckk` does); a disconnected one gets an
+// entry without results.
+BenchEntry RunCkk(const SuiteContext& ctx,
+                  const workloads::DatasetFamily& family,
+                  const workloads::DatasetGraph& dg,
+                  const std::string& cost_name) {
+  BenchEntry e = MakeEntry("ckk", ctx, family, dg);
+  e.cost = cost_name;
+  if (!dg.graph.IsConnected()) {
+    FinishEntry(&e, 0, 0.0, "disconnected");
+    return e;
+  }
+  const CostModel model = GraphCostModel(cost_name);
+  WallTimer timer;
+  CkkEnumerator enumerator(dg.graph, model.cost.get());
+  const StreamRun run = DrainStream(
+      ctx, EnumBudget(), timer, [&] { return NextCost(enumerator); }, &e);
+  FinishEntry(&e, run.count, timer.Seconds(),
+              run.exhausted ? "complete" : "truncated");
   return e;
 }
 
@@ -238,36 +310,26 @@ BenchEntry RunHuge(const SuiteContext& ctx,
                    const workloads::DatasetGraph& dg) {
   BenchEntry e = MakeEntry("huge", ctx, family, dg);
   e.cost = "width";
-  const double budget = EnumBudget() * ctx.budget_factor;
+  const CostModel model = GraphCostModel(e.cost);
+  const double budget = EnumBudget();
   ContextOptions options = MakeContextOptions(ctx, budget);
   TierOptions tier_options;
   tier_options.decomposable_cost = true;  // width
   tier_options.exact_budget_seconds = budget;
-  WidthCost cost;
-  TieredEnumerator enumerator(dg.graph, cost, CostComposition::kMax, options,
-                              {}, tier_options);
+  TieredEnumerator enumerator(dg.graph, *model.cost, model.composition,
+                              options, {}, tier_options);
   e.init_seconds = enumerator.init_seconds();
   e.tier = TierName(enumerator.tier());
   WallTimer timer;
   const Deadline deadline(budget);
   enumerator.SetDeadline(&deadline);
-  long long count = 0;
-  double first_result_seconds = 0;
-  bool finished = false;
-  while (timer.Seconds() < budget &&
-         count < static_cast<long long>(kMaxResults)) {
-    if (!enumerator.Next().has_value()) {
-      finished = !enumerator.truncated();
-      break;
-    }
-    ++count;
-    if (count == 1) first_result_seconds = timer.Seconds();
-  }
+  const StreamRun run = DrainStream(
+      ctx, budget, timer, [&] { return NextCost(enumerator); }, &e);
   const double wall = timer.Seconds();
-  FinishEntry(&e, count, wall, finished ? "complete" : "truncated");
-  e.results_per_sec = (count > 1 && wall > first_result_seconds)
-                          ? (count - 1) / (wall - first_result_seconds)
-                          : 0.0;
+  FinishEntry(&e, run.count, wall,
+              run.exhausted && !enumerator.truncated() ? "complete"
+                                                       : "truncated");
+  e.results_per_sec = RateAfterFirstResult(run, wall);
   return e;
 }
 
@@ -330,7 +392,7 @@ BenchEntry RunAppCost(const SuiteContext& ctx, const AppCostCase& acase) {
     FinishEntry(&e, 0, 0.0, "cost-error");
     return e;
   }
-  const double budget = EnumBudget() * ctx.budget_factor;
+  const double budget = EnumBudget();
   ContextOptions options = MakeContextOptions(ctx, budget);
   WallTimer timer;
   TieredEnumerator enumerator(acase.instance.graph, *model->cost,
@@ -342,18 +404,10 @@ BenchEntry RunAppCost(const SuiteContext& ctx, const AppCostCase& acase) {
                 enumerator.init_info().TerminationName());
     return e;
   }
-  long long count = 0;
-  bool finished = false;
-  while (timer.Seconds() < budget &&
-         count < static_cast<long long>(kMaxResults)) {
-    if (!enumerator.Next().has_value()) {
-      finished = true;
-      break;
-    }
-    ++count;
-  }
-  FinishEntry(&e, count, timer.Seconds(),
-              finished ? "complete" : "truncated");
+  const StreamRun run = DrainStream(
+      ctx, budget, timer, [&] { return NextCost(enumerator); }, &e);
+  FinishEntry(&e, run.count, timer.Seconds(),
+              run.exhausted ? "complete" : "truncated");
   if (model->cache != nullptr) {
     e.cache_hit_rate = model->cache->stats().HitRate();
   }
@@ -374,20 +428,9 @@ std::string FormatDouble(double v) {
 
 }  // namespace
 
-double TimeScale() {
-  const char* env = std::getenv("MINTRI_TIME_SCALE");
-  if (env == nullptr) return 1.0;
-  double v = std::atof(env);
-  return v > 0 ? v : 1.0;
-}
-
-double MinSepBudget() { return 0.5 * TimeScale(); }
-double PmcBudget() { return 2.5 * TimeScale(); }
-double EnumBudget() { return 1.5 * TimeScale(); }
-
 const std::vector<std::string>& AllSuiteNames() {
   static const std::vector<std::string> kNames = {
-      "minseps", "pmc", "enum", "ranked", "appcost", "huge"};
+      "minseps", "pmc", "ranked", "ckk", "appcost", "huge"};
   return kNames;
 }
 
@@ -412,7 +455,6 @@ BenchReport RunBenchSuites(const BenchRunOptions& options,
 
   SuiteContext ctx;
   ctx.smoke = options.smoke;
-  ctx.budget_factor = options.smoke ? kSmokeBudgetFactor : 1.0;
 
   for (const std::string& suite : report.suites) {
     // The appcost suite runs its own instance list (application costs over
@@ -469,15 +511,19 @@ BenchReport RunBenchSuites(const BenchRunOptions& options,
     // The parallel-capable suites sweep serial vs. all-hardware so every
     // report carries its own baseline; --threads=N pins a single point. The
     // ranked suite sweeps too — its thread count drives the context
-    // initialization phase (the enumeration itself is serial); the legacy
-    // enum suite stays a single serial point.
+    // initialization phase (the enumeration itself is serial). CKK is
+    // serial throughout, so ckk is always one serial point.
     std::vector<int> thread_points;
-    if (options.threads > 0) {
-      thread_points = {options.threads};
-    } else if (suite == "enum") {
+    if (suite == "ckk") {
       thread_points = {1};
+    } else if (options.threads > 0) {
+      thread_points = {options.threads};
     } else {
       thread_points = {1, parallel::DefaultParallelThreads()};
+    }
+    std::vector<std::string> costs = {""};
+    if (suite == "ranked" || suite == "ckk") {
+      costs.assign(std::begin(kTableCosts), std::end(kTableCosts));
     }
     for (int threads : thread_points) {
       ctx.threads = threads;
@@ -488,23 +534,27 @@ BenchReport RunBenchSuites(const BenchRunOptions& options,
         for (const workloads::DatasetGraph& dg : family.graphs) {
           if (ctx.smoke && used >= kSmokeGraphsPerFamily) break;
           ++used;
-          BenchEntry entry;
-          if (suite == "minseps") {
-            entry = RunMinSeps(ctx, family, dg);
-          } else if (suite == "pmc") {
-            entry = RunPmc(ctx, family, dg);
-          } else if (suite == "ranked") {
-            entry = RunRanked(ctx, family, dg);
-          } else {
-            entry = RunEnum(ctx, family, dg);
+          for (const std::string& cost : costs) {
+            BenchEntry entry;
+            if (suite == "minseps") {
+              entry = RunMinSeps(ctx, family, dg);
+            } else if (suite == "pmc") {
+              entry = RunPmc(ctx, family, dg);
+            } else if (suite == "ranked") {
+              entry = RunRanked(ctx, family, dg, cost);
+            } else {
+              entry = RunCkk(ctx, family, dg, cost);
+            }
+            if (progress != nullptr) {
+              *progress << suite << "[t=" << threads
+                        << (cost.empty() ? "" : ", " + cost) << "] "
+                        << family.name << "/" << dg.name << ": "
+                        << entry.count << " results in "
+                        << FormatDouble(entry.wall_ms) << " ms ("
+                        << entry.status << ")\n";
+            }
+            report.entries.push_back(std::move(entry));
           }
-          if (progress != nullptr) {
-            *progress << suite << "[t=" << threads << "] " << family.name
-                      << "/" << dg.name << ": " << entry.count
-                      << " results in " << FormatDouble(entry.wall_ms)
-                      << " ms (" << entry.status << ")\n";
-          }
-          report.entries.push_back(std::move(entry));
         }
       }
     }
@@ -547,6 +597,8 @@ void WriteBenchJson(const BenchReport& report, std::ostream& out) {
         << ", \"index_updates\": " << e.index_updates
         << ", \"range_queries\": " << e.range_queries
         << ", \"cache_hit_rate\": " << FormatDouble(e.cache_hit_rate)
+        << ", \"best_cost\": " << FormatDouble(e.best_cost)
+        << ", \"best_count\": " << e.best_count
         << ", \"tier\": ";
     AppendJsonString(e.tier, out);
     out << ", \"status\": ";

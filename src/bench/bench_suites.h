@@ -1,7 +1,6 @@
 #ifndef MINTRI_BENCH_BENCH_SUITES_H_
 #define MINTRI_BENCH_BENCH_SUITES_H_
 
-#include <cstddef>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -9,25 +8,9 @@
 namespace mintri {
 namespace bench {
 
-/// All wall-clock budgets in the benchmark harness are the paper's limits
-/// scaled down so a full run finishes in minutes (the paper's Section 7 runs
-/// take server-days). MINTRI_TIME_SCALE multiplies every budget (e.g.
-/// MINTRI_TIME_SCALE=10 for a slower, more faithful run).
-double TimeScale();
-
-/// Scaled stand-ins for the paper's limits.
-double MinSepBudget();  // paper: 60 s
-double PmcBudget();     // paper: 30 min
-double EnumBudget();    // paper: 30 min
-
-/// Result-count caps shared by the JSON pipeline and the paper-figure
-/// benches, so both harnesses always measure under the same ceilings.
-inline constexpr size_t kMaxSeparators = 200000;
-inline constexpr size_t kMaxResults = 100000;
-
-/// One benchmarked (suite, graph) pair of BENCH_core.json.
+/// One benchmarked (suite, graph, cost) point of BENCH_core.json.
 struct BenchEntry {
-  std::string suite;   // "minseps" | "pmc" | "enum" | "ranked" | "appcost"
+  std::string suite;   // "minseps" | "pmc" | "ranked" | "ckk" | "appcost"
                        // | "huge"
   std::string family;  // workload family name (Fig. 5 naming)
   std::string graph;   // graph name within the family
@@ -36,16 +19,22 @@ struct BenchEntry {
   int threads = 1;     // enumeration worker threads for this run
   long long count = 0;          // results produced within budget
   double wall_ms = 0.0;         // wall time spent on this graph
-  /// count / wall seconds; the ranked suite instead reports triangulations
-  /// per second *after the first result*, the paper's Table 2 measure.
+  /// count / wall seconds; the ranked and huge suites instead report
+  /// triangulations per second *after the first result*, the paper's
+  /// enumeration-rate measure.
   double results_per_sec = 0.0;
-  /// Context initialization (seconds) for the context-building suites
-  /// (enum/ranked/appcost); 0 elsewhere.
+  /// Initialization (seconds) for the suites that build a context
+  /// (ranked/appcost/huge); 0 elsewhere.
   double init_seconds = 0.0;
-  /// The ranking cost ("width" for enum/ranked; "hypertree" | "fhw" |
-  /// "state-space" for appcost entries; empty for the enumeration-only
-  /// suites, which rank nothing).
+  /// The cost the results are measured by ("width" | "fill" for ranked and
+  /// ckk; "hypertree" | "fhw" | "state-space" for appcost; "width" for huge;
+  /// empty for minseps/pmc, which rank nothing).
   std::string cost;
+  /// The lowest cost among the entry's results, and how many results reach
+  /// it (Table 2's min-w/min-f and #min columns); 0 and 0 when the entry
+  /// has no results or ranks nothing.
+  double best_cost = 0.0;
+  long long best_count = 0;
   /// Memoized bag-score cache hit rate in [0, 1] (appcost entries under
   /// the edge-cover costs; 0 where no cache runs).
   double cache_hit_rate = 0.0;
@@ -57,7 +46,9 @@ struct BenchEntry {
   long long index_updates = 0;
   long long range_queries = 0;
   /// "complete" | "truncated" | "ms-terminated" | "pmc-terminated"
-  /// (the last two are the Fig. 5 taxonomy of which init stage gave up).
+  /// (the last two are the Fig. 5 taxonomy of which init stage gave up),
+  /// "cost-error" (appcost) or "disconnected" (ckk on a graph CKK does not
+  /// take).
   std::string status;
   /// The tiered pipeline's truthful stream label for the huge suite
   /// ("exact" | "atom-exact" | "heuristic"); empty for the suites that run
@@ -67,9 +58,9 @@ struct BenchEntry {
 
 /// The machine-readable benchmark report (serialized as BENCH_core.json).
 /// Schema history: v2 added the per-entry solver + repair-counter fields,
-/// then the huge suite's per-entry tier label (same version: the field is
-/// emitted for every entry). Entries no longer carry the v2 solver field;
-/// scripts/bench_diff.py reads its absence as "".
+/// then the huge suite's per-entry tier label, then best_cost/best_count
+/// (same version: each field is emitted for every entry). Entries no
+/// longer carry the v2 solver field.
 struct BenchReport {
   int schema_version = 2;
   std::string git_sha;
@@ -82,13 +73,14 @@ struct BenchReport {
 struct BenchRunOptions {
   /// Subset of AllSuiteNames(); empty means all.
   std::vector<std::string> suites;
-  /// Smoke mode: a few cheap families, capped graphs per family, and
-  /// budgets scaled down — sized for a CI gate, not for trend analysis.
+  /// Smoke mode: a few cheap families, capped graphs per family, and a
+  /// fixed result cap per ranking entry, so that its counts repeat from
+  /// run to run — sized for a CI gate, not for trend analysis.
   bool smoke = false;
-  /// Worker threads. 0 (the default) sweeps the minseps/pmc suites over
-  /// {1, parallel::DefaultParallelThreads()} so the report always carries a
-  /// serial baseline next to the parallel numbers; a positive value runs
-  /// every suite at exactly that thread count.
+  /// Worker threads. 0 (the default) sweeps the minseps/pmc/ranked suites
+  /// over {1, parallel::DefaultParallelThreads()} so the report always
+  /// carries a serial baseline next to the parallel numbers; a positive
+  /// value runs every suite but the serial ckk at exactly that count.
   int threads = 0;
 };
 

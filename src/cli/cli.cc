@@ -149,20 +149,22 @@ constexpr char kBenchUsage[] =
     "Runs the named benchmark suites over the built-in workload families and\n"
     "writes a machine-readable BENCH_core.json report. Suites: minseps (one\n"
     "ListMinimalSeparators pass per graph), pmc (minimal separators + PMC\n"
-    "enumeration), enum (ranked enumeration of minimal triangulations),\n"
-    "ranked (ranked enumeration with per-entry init_seconds and\n"
-    "after-first-result throughput, context init at the entry's thread\n"
-    "count), appcost (ranked enumeration under the application costs —\n"
-    "hypertree/fhw over the TPC-H query hypergraphs, state-space over the\n"
-    "graphical-model instances — with bag-score cache hit rates), huge (the\n"
-    "tiered pipeline on PACE-scale graphs of >= 1000 vertices, with the\n"
-    "per-entry tier label). With no suite arguments (or the keyword 'all'),\n"
-    "all suites run.\n"
+    "enumeration), ranked (ranked enumeration under width and under fill,\n"
+    "with per-entry init_seconds, after-first-result throughput and the\n"
+    "best cost reached, context init at the entry's thread count), ckk (the\n"
+    "CKK baseline over the same graphs and costs, serial), appcost (ranked\n"
+    "enumeration under the application costs — hypertree/fhw over the TPC-H\n"
+    "query hypergraphs, state-space over the graphical-model instances —\n"
+    "with bag-score cache hit rates), huge (the tiered pipeline on\n"
+    "PACE-scale graphs of >= 1000 vertices, with the per-entry tier label).\n"
+    "With no suite arguments (or the keyword 'all'), all suites run.\n"
     "\n"
     "  --out=FILE   output path (default BENCH_core.json; '-' for stdout)\n"
-    "  --smoke      CI-sized run: few families, capped graphs, short budgets\n"
-    "  --threads=N  run every suite at exactly N threads; default is the\n"
-    "               sweep {1, hardware_concurrency} for minseps/pmc/ranked\n"
+    "  --smoke      CI-sized run: few families, capped graphs, and at most\n"
+    "               100 results per entry, so that its counts repeat\n"
+    "  --threads=N  run every suite but ckk at exactly N threads; default\n"
+    "               is the sweep {1, hardware_concurrency} for\n"
+    "               minseps/pmc/ranked\n"
     "  --quiet      no per-graph progress on stderr\n"
     "  --help       show this message and exit\n"
     "\n"
@@ -201,7 +203,7 @@ int RunBenchCommand(const std::vector<std::string>& args, std::ostream& out,
       options.suites.push_back(arg);
     } else {
       err << "unknown suite: " << arg
-          << " (expected minseps, pmc, enum, ranked, appcost, huge, or all)\n";
+          << " (expected minseps, pmc, ranked, ckk, appcost, huge, or all)\n";
       return 1;
     }
   }

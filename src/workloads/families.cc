@@ -115,6 +115,22 @@ DatasetFamily DenseFamily(const std::string& name, int n0, double p,
   return f;
 }
 
+// The G(n, p) instances of Figs. 7 and 8: one connected sample per (n, p)
+// with seed 880000 + 100 n + 1000 p, the n = 20 graphs first.
+DatasetFamily Random() {
+  DatasetFamily f{"Random", {}};
+  for (int n : {20, 50}) {
+    for (int pc : {5, 10, 25, 50, 80}) {
+      const std::string p = (pc < 10 ? "0.0" : "0.") + std::to_string(pc);
+      f.graphs.push_back(
+          {"gnp_n" + std::to_string(n) + "_p" + p,
+           ConnectedErdosRenyi(n, pc / 100.0,
+                               880000 + 100ULL * n + 10ULL * pc)});
+    }
+  }
+  return f;
+}
+
 DatasetFamily Tpch() {
   DatasetFamily f{"TPC-H", {}};
   for (TpchQuery& q : AllTpchQueries()) {
@@ -142,6 +158,7 @@ std::vector<DatasetFamily> AllFamilies() {
       ObjectDetection(),
       Promedas(),
       Pace100(),
+      Random(),
   };
 }
 

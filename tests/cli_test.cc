@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace mintri {
 namespace {
@@ -349,7 +351,8 @@ TEST(CliTest, BenchSmokeEmitsSchemaShapedJson) {
         "\"smoke\": true", "\"suites\": [\"minseps\"]", "\"entries\"",
         "\"results_per_sec\"", "\"wall_ms\"", "\"status\"",
         "\"threads\": 1", "\"candidate_evals\"",
-        "\"index_updates\"", "\"range_queries\""}) {
+        "\"index_updates\"", "\"range_queries\"", "\"best_cost\"",
+        "\"best_count\""}) {
     EXPECT_NE(r.out.find(key), std::string::npos) << "missing " << key;
   }
 }
@@ -361,13 +364,68 @@ TEST(CliTest, BenchRankedRunsEachPointOnce) {
             std::string::npos)
       << flag.err;
 
-  // One entry per (threads, graph) point, with no per-engine label.
+  // One entry per (threads, graph, cost) point, with no per-engine label.
   CliResult r = Invoke(
       {"bench", "ranked", "--smoke", "--quiet", "--threads=1", "--out=-"},
       "");
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("\"suite\": \"ranked\""), std::string::npos) << r.out;
   EXPECT_EQ(r.out.find("\"solver\""), std::string::npos) << r.out;
+}
+
+// The fields of each report entry that a smoke run must reproduce exactly,
+// one line per entry.
+std::vector<std::string> RepeatableFields(const std::string& json) {
+  std::vector<std::string> rows;
+  std::istringstream lines(json);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("{\"suite\": ") == std::string::npos) continue;
+    std::string row;
+    for (const char* key : {"\"suite\"", "\"graph\"", "\"threads\"",
+                            "\"cost\"", "\"count\"", "\"status\"",
+                            "\"best_cost\"", "\"best_count\""}) {
+      const size_t at = line.find(key);
+      if (at == std::string::npos) {
+        row += std::string(key) + " missing; ";
+        continue;
+      }
+      row += line.substr(at, line.find_first_of(",}", at) - at) + "; ";
+    }
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+// Smoke runs are fixed work: every entry stops at the stream's end or at a
+// result cap, never at the clock, so two runs agree entry by entry. The
+// budgets are widened so that a loaded test host cannot reach them either.
+TEST(CliTest, BenchSmokeCountsRepeat) {
+  ASSERT_EQ(setenv("MINTRI_TIME_SCALE", "4", /*overwrite=*/1), 0);
+  const std::vector<std::string> args = {
+      "bench", "ranked", "ckk", "--smoke", "--quiet", "--threads=1", "--out=-"};
+  CliResult first = Invoke(args, "");
+  CliResult second = Invoke(args, "");
+  unsetenv("MINTRI_TIME_SCALE");
+  ASSERT_EQ(first.code, 0) << first.err;
+  ASSERT_EQ(second.code, 0) << second.err;
+  const std::vector<std::string> a = RepeatableFields(first.out);
+  const std::vector<std::string> b = RepeatableFields(second.out);
+  ASSERT_FALSE(a.empty()) << first.out;
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i], b[i]);
+    EXPECT_EQ(a[i].find("missing"), std::string::npos) << a[i];
+  }
+  // Both suites rank every smoke graph under both costs.
+  for (const char* point :
+       {"\"suite\": \"ranked\"; \"graph\": \"grid4x5\"; \"threads\": 1; "
+        "\"cost\": \"width\"",
+        "\"suite\": \"ckk\"; \"graph\": \"grid4x5\"; \"threads\": 1; "
+        "\"cost\": \"fill\""}) {
+    bool found = false;
+    for (const std::string& row : a) found |= row.rfind(point, 0) == 0;
+    EXPECT_TRUE(found) << "no entry " << point;
+  }
 }
 
 }  // namespace

@@ -142,7 +142,7 @@ TEST(TpchQueriesTest, Q3IsAPath) {
 
 TEST(FamiliesTest, AllFamiliesNonEmptyAndDeterministic) {
   auto families = AllFamilies();
-  EXPECT_EQ(families.size(), 14u);
+  EXPECT_EQ(families.size(), 15u);
   for (const auto& f : families) {
     EXPECT_FALSE(f.graphs.empty()) << f.name;
     for (const auto& dg : f.graphs) {
