@@ -76,9 +76,8 @@ BENCHMARK(BM_ListMinimalSeparators)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_ListPmcs(benchmark::State& state) {
   Graph g = BenchGraph(static_cast<int>(state.range(0)));
-  auto seps = ListMinimalSeparators(g).separators;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ListPotentialMaximalCliques(g, seps));
+    benchmark::DoNotOptimize(ListPotentialMaximalCliques(g));
   }
 }
 BENCHMARK(BM_ListPmcs)->Arg(0)->Arg(1)->Arg(2);

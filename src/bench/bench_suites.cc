@@ -193,8 +193,7 @@ BenchEntry RunPmc(const SuiteContext& ctx,
   options.limits.time_limit_seconds = PmcBudget();
   options.limits.num_threads = ctx.threads;
   timer.Reset();
-  PmcResult pmcs =
-      ListPotentialMaximalCliques(dg.graph, seps.separators, options);
+  PmcResult pmcs = ListPotentialMaximalCliques(dg.graph, options);
   FinishEntry(&e, static_cast<long long>(pmcs.pmcs.size()), timer.Seconds(),
               pmcs.status == EnumerationStatus::kComplete ? "complete"
                                                           : "truncated");

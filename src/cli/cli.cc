@@ -358,7 +358,8 @@ int RunCli(const std::vector<std::string>& args, std::istream& in,
         << info.minsep_seconds << "s (" << info.num_minseps << ") pmcs="
         << info.pmc_seconds << "s (" << info.num_pmcs << ") blocks="
         << info.blocks_seconds << "s (" << info.num_blocks << ") wiring="
-        << info.wiring_seconds << "s threads=" << options.threads << "\n";
+        << info.wiring_seconds << "s threads=" << options.threads
+        << " pmc_tests=" << info.num_pmc_tests << "\n";
     const PreprocessInfo& pre = e.preprocess_info();
     err << "tier[" << options.tier << "]: " << TierName(e.tier())
         << " atoms=" << pre.num_atoms

@@ -89,6 +89,52 @@ class PmcTester {
 constexpr int kMinParallelVertices = 20;
 constexpr size_t kMinParallelItems = 64;
 
+// What a `consider` callback did with one candidate.
+enum class Verdict {
+  kSkipped,   // empty, over max_size or a duplicate: not tested here
+  kRejected,  // tested, not a PMC
+  kAccepted,  // tested, a PMC
+  kStop,      // a limit was hit; generation must stop
+};
+
+// The read-only inputs of one OneMoreVertex step, G_i → G_{i+1}, with the
+// candidate sources already filtered by the case analysis (see the header).
+// Serial and parallel Step share one plan and one generator, so the case
+// analysis can never diverge between them.
+struct StepPlan {
+  const Graph& next;                         // G_{i+1}
+  int a;                                     // the new vertex, a = i
+  const std::vector<VertexSet>& prev_pmcs;   // Π(G_i)
+  std::vector<const VertexSet*> case3;       // S ∈ Δ(G_{i+1}), a ∉ S
+  std::vector<const VertexSet*> case4;       // ... and S ∉ Δ(G_i)
+  std::vector<const VertexSet*> t_list;      // T ∈ Δ(G_{i+1}), a ∈ T
+
+  StepPlan(const Graph& g, int new_vertex,
+           const std::vector<VertexSet>& pmcs,
+           const std::vector<VertexSet>& next_seps,
+           const VertexSetTable& prev_seps, int max_size)
+      : next(g), a(new_vertex), prev_pmcs(pmcs) {
+    for (const VertexSet& s : next_seps) {
+      if (s.Contains(a)) {
+        t_list.push_back(&s);
+        continue;
+      }
+      case3.push_back(&s);
+      // Every product S ∪ (T ∩ C) strictly contains S, so in bounded mode
+      // an S of size >= max_size only yields over-size candidates.
+      if (s.Count() < max_size && prev_seps.Find(s) < 0) {
+        case4.push_back(&s);
+      }
+    }
+  }
+
+  // The flat work space: prefix PMCs (cases 1 & 2), then case-3 and case-4
+  // sources.
+  size_t NumItems() const {
+    return prev_pmcs.size() + case3.size() + case4.size();
+  }
+};
+
 // State of the vertex-incremental enumeration, over the relabeled graph
 // whose vertex i is the i-th vertex in the insertion order.
 class IncrementalEnumerator {
@@ -102,8 +148,9 @@ class IncrementalEnumerator {
     const int n = g_.NumVertices();
     if (n == 0) return result;
 
-    // PMC(G_1) for the single-vertex prefix.
+    // PMC(G_1) for the single-vertex prefix, which has no separators.
     std::vector<VertexSet> pmcs = {VertexSet::Single(1, 0)};
+    std::vector<VertexSet> prev_seps;
 
     for (int i = 1; i < n; ++i) {
       // Build G_{i+1} over vertices 0..i.
@@ -122,32 +169,42 @@ class IncrementalEnumerator {
       MinimalSeparatorsResult seps = ListMinimalSeparators(next, sep_limits);
       if (seps.status != EnumerationStatus::kComplete) {
         result.status = EnumerationStatus::kTruncated;
-        return result;
+        break;
       }
+      // Δ(G_i), lifted into G_{i+1}'s universe for the case-4 restriction.
+      prev_seps_.Clear();
+      for (const VertexSet& s : prev_seps) {
+        lifted_.Reset(i + 1);
+        s.ForEach([&](int v) { lifted_.Insert(v); });
+        prev_seps_.Insert(lifted_);
+      }
+      const StepPlan plan(next, i, pmcs, seps.separators, prev_seps_,
+                          options_.max_size);
       std::vector<VertexSet> next_pmcs;
-      if (!Step(next, i, pmcs, seps.separators, &next_pmcs)) {
+      if (!Step(plan, &next_pmcs)) {
         result.status = EnumerationStatus::kTruncated;
-        return result;
+        break;
       }
       pmcs = std::move(next_pmcs);
+      prev_seps = std::move(seps.separators);
     }
-    result.pmcs = std::move(pmcs);
-    result.status = EnumerationStatus::kComplete;
+    result.num_tests = num_tests_;
+    if (result.status == EnumerationStatus::kComplete) {
+      result.pmcs = std::move(pmcs);
+    }
     return result;
   }
 
  private:
-  // Computes PMC(G_{i+1}) from PMC(G_i) and MinSep(G_{i+1}); vertex `a = i`
-  // is the new vertex. Returns false when a limit was hit.
-  bool Step(const Graph& next, int a, const std::vector<VertexSet>& prev_pmcs,
-            const std::vector<VertexSet>& next_seps,
-            std::vector<VertexSet>* out) {
+  // Computes PMC(G_{i+1}) from the plan's sources. Returns false when a
+  // limit was hit.
+  bool Step(const StepPlan& plan, std::vector<VertexSet>* out) {
     // Parallelize only once the candidate space can amortize the fork-join
     // (spawning threads and per-worker scratch costs tens of microseconds;
     // early prefix steps do less total work than that).
     if (options_.limits.num_threads > 1 &&
-        prev_pmcs.size() + 2 * next_seps.size() >= kMinParallelItems) {
-      return ParallelStep(next, a, prev_pmcs, next_seps, out);
+        plan.NumItems() >= kMinParallelItems) {
+      return ParallelStep(plan, out);
     }
     // Per-step dedup on the shared arena/table layout: Clear() keeps the
     // slot array and arena capacity across steps, so after the first few
@@ -156,87 +213,75 @@ class IncrementalEnumerator {
     // candidate — the single hottest allocation site of the serial PMC
     // path once VertexSets themselves went inline.)
     tried_.Clear();
-    auto consider = [&](VertexSet&& omega) -> bool {
+    auto consider = [&](VertexSet&& omega) -> Verdict {
       if (omega.Empty() || omega.Count() > options_.max_size ||
           !tried_.Insert(omega)) {
         pool_.Release(std::move(omega));
-        return true;
+        return Verdict::kSkipped;
       }
-      if (tester_.Test(next, omega)) {
+      ++num_tests_;
+      if (tester_.Test(plan.next, omega)) {
         out->push_back(std::move(omega));
-        if (out->size() > options_.limits.max_results) return false;
-      } else {
-        pool_.Release(std::move(omega));
+        return out->size() > options_.limits.max_results ? Verdict::kStop
+                                                         : Verdict::kAccepted;
       }
-      return true;
+      pool_.Release(std::move(omega));
+      return Verdict::kRejected;
     };
 
-    const std::vector<const VertexSet*> t_list = CaseFourTList(next_seps, a);
-    const size_t num_items = prev_pmcs.size() + 2 * next_seps.size();
+    const size_t num_items = plan.NumItems();
     for (size_t item = 0; item < num_items; ++item) {
       if (deadline_.Expired()) return false;
-      if (!GenerateCandidates(next, a, prev_pmcs, next_seps, t_list, item,
-                              &scanner_, &components_, &pool_, consider)) {
+      if (!GenerateCandidates(plan, item, &scanner_, &components_, &pool_,
+                              consider)) {
         return false;
       }
     }
     return true;
   }
 
-  // The T's of the case-4 products S ∪ (T ∩ C). Unless exhaustive_pairs is
-  // set, T ranges only over the separators containing the new vertex a (the
-  // Bouchitté–Todinca case analysis; validated against brute force in the
-  // test suite).
-  std::vector<const VertexSet*> CaseFourTList(
-      const std::vector<VertexSet>& next_seps, int a) const {
-    std::vector<const VertexSet*> t_list;
-    for (const VertexSet& t : next_seps) {
-      if (options_.exhaustive_pairs || t.Contains(a)) t_list.push_back(&t);
-    }
-    return t_list;
-  }
-
-  // Generates the PMC candidates of one item of the flat work space
-  // [0, |prev_pmcs| + 2|next_seps|) and feeds them to `consider`, stopping
-  // early when it returns false (the return value is forwarded). Items are:
-  // case 1 & 2 (a prefix PMC, lifted with and without the new vertex a),
-  // then case 3 (S ∪ {a} for a separator S), then case 4 (the products
-  // S ∪ (T ∩ C) for one outer separator S). Both the serial and the
-  // parallel Step run on this single generator, so the case analysis can
-  // never diverge between them; scratch is caller-supplied (per-thread in
-  // the parallel path). Candidate sets come from the caller's free-list
-  // pool and `consider` takes ownership — it must either keep the set (an
-  // accepted PMC) or Release it back, so the generate-mostly-reject loop
-  // recycles the same few buffers instead of churning one per candidate.
+  // Generates the PMC candidates of one item of the plan's flat work space
+  // and feeds them to `consider`; returns false as soon as it says kStop.
+  // Items are: case 1 & 2 (a prefix PMC Ω, then Ω ∪ {a} unless Ω was
+  // accepted), then case 3 (S ∪ {a}), then case 4 (the products
+  // S ∪ (T ∩ C) for one outer separator S and every component C of
+  // G_{i+1} \ S). Scratch is caller-supplied (per-thread in the parallel
+  // path). Candidate sets come from the caller's free-list pool and
+  // `consider` takes ownership — it must either keep the set (an accepted
+  // PMC) or Release it back, so the generate-mostly-reject loop recycles
+  // the same few buffers instead of churning one per candidate.
   template <typename Consider>
-  static bool GenerateCandidates(const Graph& next, int a,
-                                 const std::vector<VertexSet>& prev_pmcs,
-                                 const std::vector<VertexSet>& next_seps,
-                                 const std::vector<const VertexSet*>& t_list,
-                                 size_t item, ComponentScanner* scanner,
+  static bool GenerateCandidates(const StepPlan& plan, size_t item,
+                                 ComponentScanner* scanner,
                                  std::vector<VertexSet>* components,
-                                 VertexSetPool* pool, const Consider& consider) {
-    const size_t num_pmcs = prev_pmcs.size();
-    const size_t num_seps = next_seps.size();
-    const int n = next.NumVertices();
+                                 VertexSetPool* pool,
+                                 const Consider& consider) {
+    const size_t num_pmcs = plan.prev_pmcs.size();
+    const size_t num_case3 = plan.case3.size();
+    const int n = plan.next.NumVertices();
     if (item < num_pmcs) {
+      const VertexSet& prev = plan.prev_pmcs[item];
       VertexSet omega = pool->Acquire(n);
-      prev_pmcs[item].ForEach([&](int v) { omega.Insert(v); });
+      prev.ForEach([&](int v) { omega.Insert(v); });
+      const Verdict verdict = consider(std::move(omega));
+      // A PMC Ω of G_{i+1} rules out Ω ∪ {a}. A skipped (duplicate) Ω has
+      // no verdict here, so Ω ∪ {a} is tried as well.
+      if (verdict == Verdict::kStop) return false;
+      if (verdict == Verdict::kAccepted) return true;
       VertexSet with_a = pool->Acquire(n);
-      with_a = omega;  // buffer-reusing copy
-      with_a.Insert(a);
-      return consider(std::move(omega)) && consider(std::move(with_a));
+      prev.ForEach([&](int v) { with_a.Insert(v); });
+      with_a.Insert(plan.a);
+      return consider(std::move(with_a)) != Verdict::kStop;
     }
-    if (item < num_pmcs + num_seps) {
+    if (item < num_pmcs + num_case3) {
       VertexSet omega = pool->Acquire(n);
-      omega = next_seps[item - num_pmcs];
-      omega.Insert(a);
-      return consider(std::move(omega));
+      omega = *plan.case3[item - num_pmcs];
+      omega.Insert(plan.a);
+      return consider(std::move(omega)) != Verdict::kStop;
     }
-    const VertexSet& s = next_seps[item - num_pmcs - num_seps];
-    scanner->Components(next, s, components);
-    for (const VertexSet* t : t_list) {
-      if (*t == s) continue;
+    const VertexSet& s = *plan.case4[item - num_pmcs - num_case3];
+    scanner->Components(plan.next, s, components);
+    for (const VertexSet* t : plan.t_list) {
       for (const VertexSet& c : *components) {
         VertexSet cand = pool->Acquire(n);
         cand = *t;
@@ -246,34 +291,31 @@ class IncrementalEnumerator {
           continue;
         }
         cand.UnionWith(s);
-        if (!consider(std::move(cand))) return false;
+        if (consider(std::move(cand)) == Verdict::kStop) return false;
       }
     }
     return true;
   }
 
-  // Multi-threaded Step: the candidate *sources* (prefix PMCs for cases 1&2,
-  // separators for case 3, case-4 outer separators S) form a flat index
-  // space that workers claim from an atomic cursor; each worker tests its
-  // candidates with its own PmcTester/ComponentScanner scratch, dedup goes
-  // through a sharded table on the cached VertexSet hashes, and accepted
-  // PMCs land in per-worker vectors that are concatenated at the join. The
-  // output *set* is exactly the serial one (every candidate is considered
-  // and IsPmc is order-independent); only the order within `out` differs,
-  // and ListPotentialMaximalCliques sorts the final result anyway.
-  bool ParallelStep(const Graph& next, int a,
-                    const std::vector<VertexSet>& prev_pmcs,
-                    const std::vector<VertexSet>& next_seps,
-                    std::vector<VertexSet>* out) {
+  // Multi-threaded Step: the plan's items form a flat index space that
+  // workers claim from an atomic cursor; each worker tests its candidates
+  // with its own PmcTester/ComponentScanner scratch, dedup goes through a
+  // sharded table on the cached VertexSet hashes, and accepted PMCs land in
+  // per-worker vectors that are concatenated at the join. The output *set*
+  // is exactly the serial one, Π(G_{i+1}): every PMC is produced by some
+  // item whatever the claim order, and IsPmc is order-independent. Only
+  // the order within `out` differs, and ListPotentialMaximalCliques sorts
+  // the final result anyway.
+  bool ParallelStep(const StepPlan& plan, std::vector<VertexSet>* out) {
     // Clamped before sizing shard/worker state, mirroring RunOnThreads.
     const int num_threads =
         std::clamp(options_.limits.num_threads, 1, parallel::kMaxRunThreads);
-    const std::vector<const VertexSet*> t_list = CaseFourTList(next_seps, a);
-    const size_t num_items = prev_pmcs.size() + 2 * next_seps.size();
+    const size_t num_items = plan.NumItems();
 
     parallel::ShardedVertexSetTable tried(4 * num_threads);
     std::atomic<size_t> cursor{0};
     std::atomic<size_t> accepted{0};
+    std::atomic<size_t> tests{0};
     std::atomic<bool> stopped{false};
     std::vector<std::vector<VertexSet>> worker_out(num_threads);
 
@@ -283,23 +325,24 @@ class IncrementalEnumerator {
       std::vector<VertexSet> components;
       VertexSetPool pool;
       std::vector<VertexSet>& local_out = worker_out[worker];
+      size_t local_tests = 0;
 
-      auto consider = [&](VertexSet&& omega) -> bool {
+      auto consider = [&](VertexSet&& omega) -> Verdict {
         if (omega.Empty() || omega.Count() > options_.max_size ||
             !tried.Insert(omega)) {
           pool.Release(std::move(omega));
-          return true;
+          return Verdict::kSkipped;
         }
-        if (tester.Test(next, omega)) {
+        ++local_tests;
+        if (tester.Test(plan.next, omega)) {
           local_out.push_back(std::move(omega));
-          if (accepted.fetch_add(1, std::memory_order_relaxed) + 1 >
-              options_.limits.max_results) {
-            return false;
-          }
-        } else {
-          pool.Release(std::move(omega));
+          return accepted.fetch_add(1, std::memory_order_relaxed) + 1 >
+                         options_.limits.max_results
+                     ? Verdict::kStop
+                     : Verdict::kAccepted;
         }
-        return true;
+        pool.Release(std::move(omega));
+        return Verdict::kRejected;
       };
 
       while (!stopped.load(std::memory_order_relaxed)) {
@@ -309,14 +352,16 @@ class IncrementalEnumerator {
           stopped.store(true, std::memory_order_relaxed);
           break;
         }
-        if (!GenerateCandidates(next, a, prev_pmcs, next_seps, t_list, item,
-                                &scanner, &components, &pool, consider)) {
+        if (!GenerateCandidates(plan, item, &scanner, &components, &pool,
+                                consider)) {
           stopped.store(true, std::memory_order_relaxed);
           break;
         }
       }
+      tests.fetch_add(local_tests, std::memory_order_relaxed);
     });
 
+    num_tests_ += tests.load(std::memory_order_relaxed);
     if (stopped.load(std::memory_order_relaxed)) return false;
     for (std::vector<VertexSet>& chunk : worker_out) {
       for (VertexSet& omega : chunk) out->push_back(std::move(omega));
@@ -327,6 +372,7 @@ class IncrementalEnumerator {
   const Graph& g_;
   const PmcOptions& options_;
   Deadline deadline_;
+  size_t num_tests_ = 0;
 
   // Reused scratch.
   PmcTester tester_;
@@ -334,6 +380,8 @@ class IncrementalEnumerator {
   std::vector<VertexSet> components_;
   VertexSetPool pool_;
   VertexSetTable tried_;
+  VertexSetTable prev_seps_;
+  VertexSet lifted_;
 };
 
 }  // namespace
@@ -344,9 +392,7 @@ bool IsPmc(const Graph& g, const VertexSet& omega) {
 }
 
 PmcResult ListPotentialMaximalCliques(const Graph& g,
-                                      const std::vector<VertexSet>& separators,
                                       const PmcOptions& options) {
-  (void)separators;  // kept in the signature for API symmetry and future use
   const int n = g.NumVertices();
   PmcResult result;
   if (n == 0) return result;
@@ -362,7 +408,8 @@ PmcResult ListPotentialMaximalCliques(const Graph& g,
         comp.ForEach([&](int v) { old_of_new[next++] = v; });
       }
       Graph sub = g.InducedSubgraph(comp);
-      PmcResult part = ListPotentialMaximalCliques(sub, {}, options);
+      PmcResult part = ListPotentialMaximalCliques(sub, options);
+      result.num_tests += part.num_tests;
       if (part.status != EnumerationStatus::kComplete) {
         result.status = EnumerationStatus::kTruncated;
         return result;
@@ -409,6 +456,7 @@ PmcResult ListPotentialMaximalCliques(const Graph& g,
   IncrementalEnumerator enumerator(relabeled, options);
   PmcResult inner = enumerator.Run();
   result.status = inner.status;
+  result.num_tests = inner.num_tests;
   result.pmcs.reserve(inner.pmcs.size());
   for (const VertexSet& p : inner.pmcs) {
     VertexSet mapped(n);

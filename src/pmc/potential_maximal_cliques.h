@@ -22,6 +22,9 @@ bool IsPmc(const Graph& g, const VertexSet& omega);
 struct PmcResult {
   std::vector<VertexSet> pmcs;
   EnumerationStatus status = EnumerationStatus::kComplete;
+  /// IsPmc evaluations the enumeration ran: the candidates that survived the
+  /// size filter and the per-step dedup. Counted on truncated runs too.
+  size_t num_tests = 0;
 };
 
 struct PmcOptions {
@@ -29,24 +32,46 @@ struct PmcOptions {
   /// Only PMCs of size <= max_size are kept (and candidate generation is
   /// pruned accordingly). Used by MinTriangB with max_size = b + 1.
   int max_size = std::numeric_limits<int>::max();
-  /// If true, the S ∪ (T ∩ C) candidate generation iterates over all pairs
-  /// of minimal separators instead of restricting T to separators containing
-  /// the newly added vertex. Slower; used as a safety valve and in tests.
-  bool exhaustive_pairs = false;
 };
 
-/// Enumerates the potential maximal cliques of a *connected* graph with the
-/// vertex-incremental scheme of Bouchitté and Todinca (TCS 2002): vertices
-/// are added one at a time (in a connectivity-preserving order); the PMCs of
-/// each prefix graph are obtained from the PMCs of the previous prefix and
-/// the minimal separators of both, filtered through IsPmc.
+/// Enumerates the potential maximal cliques of g with the vertex-incremental
+/// scheme of Bouchitté and Todinca, "Listing all potential maximal cliques
+/// of a graph", TCS 276 (2002). A disconnected g is split into its
+/// components. A connected g gets a connectivity-preserving vertex order
+/// a_1, ..., a_n, so every prefix graph G_i = G[a_1..a_i] is connected, and
+/// Π(G_{i+1}) is computed from Π(G_i), Δ(G_i) and Δ(G_{i+1}) (Δ = minimal
+/// separators, listed per prefix), with a = a_{i+1} the new vertex. Every
+/// PMC Ω of G_{i+1} falls in one of their cases:
 ///
-/// `separators` must be the complete list of minimal separators of g (e.g.,
-/// from ListMinimalSeparators); it is used for the final step and to size
-/// internal structures.
+///   1/2. Ω \ {a} is a PMC Ω' of G_i and Ω is Ω' or Ω' ∪ {a}. At most one
+///        of the two is a PMC of G_{i+1}: if Ω' is one, take the component
+///        C ∋ a of G_{i+1} \ Ω' and some x ∈ Ω' \ N(C) (it exists, as C is
+///        not full). No component of G_{i+1} \ (Ω' ∪ {a}) sees both x and
+///        a, so Ω' ∪ {a} is not cliquish. Ω' ∪ {a} is therefore tested
+///        only when Ω' was not accepted.
+///   3.   Ω = S ∪ {a} for an S ∈ Δ(G_{i+1}) with a ∉ S. (With a ∈ S the
+///        candidate is S itself, a separator, never a PMC.)
+///   4.   Ω = S ∪ (T ∩ C) for S, T ∈ Δ(G_{i+1}) and a component C of
+///        G_{i+1} \ S, where a ∉ S and S ∉ Δ(G_i): a separator that G_i
+///        already had only yields PMCs that cases 1–3 reach (their
+///        OneMoreVertex algorithm). T is further restricted to the
+///        separators with a ∈ T; the brute-force differentials in pmc_test
+///        check that restriction. With max_size set, an S with
+///        |S| >= max_size is skipped, since every product strictly
+///        contains S.
+///
+/// Every candidate is deduplicated per step and filtered through IsPmc.
+/// With limits.num_threads > 1 the candidate sources of a step are spread
+/// over worker threads; the answer is the same set, returned sorted.
 PmcResult ListPotentialMaximalCliques(const Graph& g,
-                                      const std::vector<VertexSet>& separators,
                                       const PmcOptions& options = {});
+
+/// Source-compatible form for callers that still pass the separator list
+/// they computed (the perfbench package does). The list is not used.
+inline PmcResult ListPotentialMaximalCliques(
+    const Graph& g, const std::vector<VertexSet>& /*separators*/) {
+  return ListPotentialMaximalCliques(g);
+}
 
 /// Reference implementation for tests: checks IsPmc on every vertex subset.
 /// Exponential; intended for n <= ~16.

@@ -225,9 +225,10 @@ std::optional<TriangulationContext> TriangulationContext::Build(
   pmc_options.limits.num_threads =
       std::max(pmc_options.limits.num_threads, options.num_threads);
   if (options.width_bound >= 0) pmc_options.max_size = options.width_bound + 1;
-  PmcResult pmcs = ListPotentialMaximalCliques(g, ctx.minseps_, pmc_options);
+  PmcResult pmcs = ListPotentialMaximalCliques(g, pmc_options);
   bi.pmc_seconds = stage_timer.Seconds();
   bi.num_pmcs = pmcs.pmcs.size();
+  bi.num_pmc_tests = pmcs.num_tests;
   if (pmcs.status != EnumerationStatus::kComplete) {
     finish(ContextBuildInfo::Termination::kPmcTerminated);
     return std::nullopt;

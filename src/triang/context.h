@@ -54,6 +54,7 @@ struct ContextBuildInfo {
   size_t num_minseps = 0;
   size_t num_pmcs = 0;
   size_t num_blocks = 0;
+  size_t num_pmc_tests = 0;  // IsPmc evaluations of the PMC stage
 
   // Per-build termination tally. One Build/BuildFromFamily call counts as
   // one build; Accumulate sums these, so an aggregate over many atoms keeps
@@ -97,6 +98,7 @@ struct ContextBuildInfo {
     num_minseps += other.num_minseps;
     num_pmcs += other.num_pmcs;
     num_blocks += other.num_blocks;
+    num_pmc_tests += other.num_pmc_tests;
     num_builds += other.num_builds;
     num_ms_terminated += other.num_ms_terminated;
     num_pmc_terminated += other.num_pmc_terminated;

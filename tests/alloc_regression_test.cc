@@ -145,7 +145,7 @@ TEST(AllocRegressionTest, PmcTesterScratchIsReusedAcrossTests) {
   // have: repeated Test calls through one tester allocate nothing after
   // the first.
   const Graph g = workloads::Grid(4, 5);
-  const PmcResult all = ListPotentialMaximalCliques(g, {}, {});
+  const PmcResult all = ListPotentialMaximalCliques(g);
   ASSERT_EQ(all.status, EnumerationStatus::kComplete);
   ASSERT_GT(all.pmcs.size(), 10u);
 
@@ -174,7 +174,7 @@ TEST(AllocRegressionTest, PmcEnumerationAllocationsAreBoundedPerResult) {
   // node per distinct candidate — an order of magnitude above this bound.
   const Graph g = workloads::Queen(5);
   const AllocCounters before = ReadAllocCounters();
-  const PmcResult result = ListPotentialMaximalCliques(g, {}, {});
+  const PmcResult result = ListPotentialMaximalCliques(g);
   const AllocCounters delta = ReadAllocCounters() - before;
   ASSERT_EQ(result.status, EnumerationStatus::kComplete);
   ASSERT_GT(result.pmcs.size(), 50u);

@@ -167,6 +167,10 @@ TEST(CliTest, SolverFlagIsGoneAndStatsNameTheOneEngine) {
   EXPECT_EQ(stats.err.find("index_updates=0 range_queries=0"),
             std::string::npos)
       << stats.err;
+  // The init line ends with the PMC stage's IsPmc test count.
+  EXPECT_NE(stats.err.find(" pmc_tests="), std::string::npos) << stats.err;
+  EXPECT_LT(stats.err.find(" threads="), stats.err.find(" pmc_tests="))
+      << stats.err;
 }
 
 TEST(CliTest, ThreadsFlagValidation) {

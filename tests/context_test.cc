@@ -89,6 +89,11 @@ TEST(ContextTest, BuildInfoOnSuccess) {
   EXPECT_EQ(info.num_minseps, 3u);
   EXPECT_EQ(info.num_pmcs, 6u);
   EXPECT_EQ(info.num_blocks, 7u);
+  // Each accepted PMC was tested at least once.
+  EXPECT_GE(info.num_pmc_tests, info.num_pmcs);
+  ContextBuildInfo sum = info;
+  sum.Accumulate(info);
+  EXPECT_EQ(sum.num_pmc_tests, 2 * info.num_pmc_tests);
   EXPECT_GT(info.total_seconds, 0.0);
   EXPECT_GE(info.total_seconds, info.minsep_seconds);
   EXPECT_GE(info.total_seconds, info.pmc_seconds);

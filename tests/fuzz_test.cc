@@ -121,8 +121,7 @@ TEST_P(PipelineCross, PmcsAreExactlyTheBagsOfMinimalTriangulations) {
   // side: maximal cliques over the Parra–Scheffler brute-force enumeration.
   Graph g = workloads::ConnectedErdosRenyi(8, 0.2 + 0.05 * (GetParam() % 5),
                                            90000 + GetParam());
-  auto seps = ListMinimalSeparators(g).separators;
-  auto pmcs = ListPotentialMaximalCliques(g, seps).pmcs;
+  auto pmcs = ListPotentialMaximalCliques(g).pmcs;
   std::set<VertexSet> expected;
   for (const auto& fills : testutil::BruteForceMinimalTriangulationFills(g)) {
     Graph h = g;
@@ -154,11 +153,10 @@ TEST_P(ParallelPipelineFuzz, ParallelEnginesMatchSerialOnRandomGraphs) {
   ASSERT_EQ(par_seps.status, EnumerationStatus::kComplete);
   EXPECT_EQ(par_seps.separators, serial_seps) << "seed=" << seed;
 
-  auto serial_pmcs = ListPotentialMaximalCliques(g, serial_seps).pmcs;
+  auto serial_pmcs = ListPotentialMaximalCliques(g).pmcs;
   PmcOptions par_options;
   par_options.limits.num_threads = par_limits.num_threads;
-  PmcResult par_pmcs =
-      ListPotentialMaximalCliques(g, serial_seps, par_options);
+  PmcResult par_pmcs = ListPotentialMaximalCliques(g, par_options);
   ASSERT_EQ(par_pmcs.status, EnumerationStatus::kComplete);
   EXPECT_EQ(par_pmcs.pmcs, serial_pmcs) << "seed=" << seed;
 }

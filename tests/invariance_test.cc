@@ -64,9 +64,7 @@ TEST(OptimizationInvarianceTest, DisconnectedGraphMatchesBruteForce) {
 TEST(OptimizationInvarianceTest, PmcEnumerationMatchesBruteForce) {
   for (int seed = 0; seed < 4; ++seed) {
     Graph g = workloads::ConnectedErdosRenyi(8, 0.3, 7300 + seed);
-    auto seps = ListMinimalSeparators(g);
-    ASSERT_EQ(seps.status, EnumerationStatus::kComplete);
-    PmcResult pmcs = ListPotentialMaximalCliques(g, seps.separators);
+    PmcResult pmcs = ListPotentialMaximalCliques(g);
     ASSERT_EQ(pmcs.status, EnumerationStatus::kComplete);
     EXPECT_EQ(pmcs.pmcs, PmcsBruteForce(g)) << "seed=" << seed;
   }
@@ -81,7 +79,7 @@ TEST(OptimizationInvarianceTest, PaperExampleCountsUnchanged) {
   ASSERT_EQ(seps.status, EnumerationStatus::kComplete);
   EXPECT_EQ(seps.separators.size(), 3u);
 
-  PmcResult pmcs = ListPotentialMaximalCliques(g, seps.separators);
+  PmcResult pmcs = ListPotentialMaximalCliques(g);
   ASSERT_EQ(pmcs.status, EnumerationStatus::kComplete);
   EXPECT_EQ(pmcs.pmcs.size(), 6u);
 

@@ -41,7 +41,7 @@ TEST(PaperExample, FullPipelineMatchesFigure1) {
   EXPECT_TRUE(sep_set.count(Make(n, {1})));
 
   // Stage 2: potential maximal cliques — six of them.
-  PmcResult pmcs = ListPotentialMaximalCliques(g, seps.separators);
+  PmcResult pmcs = ListPotentialMaximalCliques(g);
   ASSERT_EQ(pmcs.status, EnumerationStatus::kComplete);
   std::set<VertexSet> pmc_set(pmcs.pmcs.begin(), pmcs.pmcs.end());
   EXPECT_EQ(pmc_set.size(), 6u);

@@ -114,13 +114,12 @@ TEST_P(ParallelEquivalence, PotentialMaximalCliquesMatchSerial) {
     MinimalSeparatorsResult seps = ListMinimalSeparators(ng.graph, probe);
     if (seps.status != EnumerationStatus::kComplete) continue;
 
-    PmcResult serial = ListPotentialMaximalCliques(ng.graph, seps.separators);
+    PmcResult serial = ListPotentialMaximalCliques(ng.graph);
     ASSERT_EQ(serial.status, EnumerationStatus::kComplete) << ng.name;
 
     PmcOptions par_options;
     par_options.limits.num_threads = threads();
-    PmcResult par =
-        ListPotentialMaximalCliques(ng.graph, seps.separators, par_options);
+    PmcResult par = ListPotentialMaximalCliques(ng.graph, par_options);
     EXPECT_EQ(par.status, EnumerationStatus::kComplete) << ng.name;
     // Both sides are already canonically sorted by the API contract.
     EXPECT_EQ(par.pmcs, serial.pmcs) << ng.name;
@@ -136,14 +135,12 @@ TEST_P(ParallelEquivalence, SizeBoundedPmcsMatchSerial) {
 
     PmcOptions serial_options;
     serial_options.max_size = 5;
-    PmcResult serial = ListPotentialMaximalCliques(ng.graph, seps.separators,
-                                                   serial_options);
+    PmcResult serial = ListPotentialMaximalCliques(ng.graph, serial_options);
     if (serial.status != EnumerationStatus::kComplete) continue;
 
     PmcOptions par_options = serial_options;
     par_options.limits.num_threads = threads();
-    PmcResult par =
-        ListPotentialMaximalCliques(ng.graph, seps.separators, par_options);
+    PmcResult par = ListPotentialMaximalCliques(ng.graph, par_options);
     EXPECT_EQ(par.status, EnumerationStatus::kComplete) << ng.name;
     EXPECT_EQ(par.pmcs, serial.pmcs) << ng.name;
   }

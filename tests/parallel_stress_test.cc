@@ -132,15 +132,14 @@ TEST_P(ParallelStress, BoundedVariantUnderCapsAndDeadlines) {
 TEST_P(ParallelStress, PmcTruncationPathsStayValid) {
   for (const StressGraph& sg : StressCorpus()) {
     if (sg.all_seps.size() > 1000) continue;  // keep PMC runs cheap
-    PmcResult serial = ListPotentialMaximalCliques(sg.graph, sg.all_seps);
+    PmcResult serial = ListPotentialMaximalCliques(sg.graph);
     ASSERT_EQ(serial.status, EnumerationStatus::kComplete) << sg.name;
 
     for (size_t cap : {size_t{1}, size_t{5}}) {
       PmcOptions options;
       options.limits.max_results = cap;
       options.limits.num_threads = threads();
-      PmcResult r =
-          ListPotentialMaximalCliques(sg.graph, sg.all_seps, options);
+      PmcResult r = ListPotentialMaximalCliques(sg.graph, options);
       for (const VertexSet& omega : r.pmcs) {
         ASSERT_TRUE(IsPmc(sg.graph, omega)) << sg.name;
       }
@@ -154,8 +153,7 @@ TEST_P(ParallelStress, PmcTruncationPathsStayValid) {
       PmcOptions options;
       options.limits.time_limit_seconds = deadline;
       options.limits.num_threads = threads();
-      PmcResult r =
-          ListPotentialMaximalCliques(sg.graph, sg.all_seps, options);
+      PmcResult r = ListPotentialMaximalCliques(sg.graph, options);
       for (const VertexSet& omega : r.pmcs) {
         ASSERT_TRUE(IsPmc(sg.graph, omega)) << sg.name;
       }

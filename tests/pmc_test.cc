@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <string>
 
 #include "test_util.h"
+#include "workloads/families.h"
 #include "workloads/named_graphs.h"
 #include "workloads/random_graphs.h"
 
@@ -13,14 +17,51 @@ namespace {
 
 using testutil::MakeGraph;
 
-std::vector<VertexSet> EnumeratePmcs(const Graph& g,
-                                     bool exhaustive_pairs = false) {
-  auto seps = ListMinimalSeparators(g).separators;
+std::vector<VertexSet> EnumeratePmcs(const Graph& g, int num_threads = 1,
+                                     int max_size =
+                                         std::numeric_limits<int>::max()) {
   PmcOptions options;
-  options.exhaustive_pairs = exhaustive_pairs;
-  PmcResult r = ListPotentialMaximalCliques(g, seps, options);
+  options.limits.num_threads = num_threads;
+  options.max_size = max_size;
+  PmcResult r = ListPotentialMaximalCliques(g, options);
   EXPECT_EQ(r.status, EnumerationStatus::kComplete);
   return r.pmcs;
+}
+
+std::vector<VertexSet> BruteForceUpTo(const Graph& g, int max_size) {
+  std::vector<VertexSet> out;
+  for (VertexSet& p : PmcsBruteForce(g)) {
+    if (p.Count() <= max_size) out.push_back(std::move(p));
+  }
+  return out;
+}
+
+// Two random graphs side by side, the second relabeled after the first.
+Graph DisjointUnion(const Graph& a, const Graph& b) {
+  const int na = a.NumVertices();
+  Graph g(na + b.NumVertices());
+  for (const auto& [u, v] : a.Edges()) g.AddEdge(u, v);
+  for (const auto& [u, v] : b.Edges()) g.AddEdge(na + u, na + v);
+  return g;
+}
+
+// A digest of a PMC list that does not depend on VertexSet's own hash:
+// the sum over PMCs of a splitmix fold of their sorted vertex ids.
+uint64_t Mix(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+uint64_t PmcDigest(const std::vector<VertexSet>& pmcs) {
+  uint64_t sum = 0;
+  for (const VertexSet& p : pmcs) {
+    uint64_t h = 0;
+    p.ForEach([&](int v) { h = Mix(h ^ static_cast<uint64_t>(v + 1)); });
+    sum += h;
+  }
+  return sum;
 }
 
 TEST(IsPmcTest, PaperExamplePmcs) {
@@ -101,40 +142,6 @@ TEST(PmcEnumerationTest, NamedGraphsMatchBruteForce) {
   }
 }
 
-TEST(PmcEnumerationTest, ExhaustivePairsModeAgrees) {
-  for (int seed = 0; seed < 6; ++seed) {
-    Graph g = workloads::ConnectedErdosRenyi(8, 0.3, 5000 + seed);
-    EXPECT_EQ(EnumeratePmcs(g, /*exhaustive_pairs=*/false),
-              EnumeratePmcs(g, /*exhaustive_pairs=*/true))
-        << "seed " << seed;
-  }
-}
-
-TEST(PmcEnumerationTest, BoundedSizeMatchesFilteredBruteForce) {
-  for (int seed = 0; seed < 8; ++seed) {
-    Graph g = workloads::ConnectedErdosRenyi(8, 0.35, 6000 + seed);
-    auto seps = ListMinimalSeparators(g).separators;
-    for (int bound = 2; bound <= 4; ++bound) {
-      PmcOptions options;
-      options.max_size = bound;
-      PmcResult r = ListPotentialMaximalCliques(g, seps, options);
-      ASSERT_EQ(r.status, EnumerationStatus::kComplete);
-      std::vector<VertexSet> expected;
-      for (const VertexSet& p : PmcsBruteForce(g)) {
-        if (p.Count() <= bound) expected.push_back(p);
-      }
-      // Bounded enumeration must be sound (every result is a PMC of size
-      // <= bound) ...
-      for (const VertexSet& p : r.pmcs) {
-        EXPECT_TRUE(IsPmc(g, p));
-        EXPECT_LE(p.Count(), bound);
-      }
-      // ... and complete for the bounded regime.
-      EXPECT_EQ(r.pmcs, expected) << "seed=" << seed << " bound=" << bound;
-    }
-  }
-}
-
 TEST(PmcEnumerationTest, EveryMinimalSeparatorIsCoveredBySomePmc) {
   // Structural invariant: each minimal separator S is a proper subset of at
   // least one PMC (it is saturated in some minimal triangulation, and lies
@@ -167,6 +174,110 @@ TEST(PmcEnumerationTest, SingleVertexAndSingleEdge) {
   ASSERT_EQ(pmcs2.size(), 1u);
   EXPECT_EQ(pmcs2[0], VertexSet::All(2));
 }
+
+// Brute-force differentials of the pruned case analysis at one and four
+// threads: four threads route every prefix step past the parallel cutover
+// through ParallelStep, whose case-1/2 verdicts can meet duplicates.
+class PmcDifferential : public ::testing::TestWithParam<int> {
+ protected:
+  int threads() const { return GetParam(); }
+};
+
+TEST_P(PmcDifferential, SparseAndDisconnectedMatchBruteForce) {
+  for (int seed = 0; seed < 40; ++seed) {
+    const int n = 6 + seed % 8;  // 6..13
+    const double p = 0.08 + 0.03 * (seed % 5);  // 0.08..0.20
+    Graph g = workloads::ErdosRenyi(n, p, 11000 + seed);
+    EXPECT_EQ(EnumeratePmcs(g, threads()), PmcsBruteForce(g))
+        << "n=" << n << " p=" << p << " seed=" << seed;
+  }
+  for (int seed = 0; seed < 12; ++seed) {
+    Graph g = DisjointUnion(
+        workloads::ConnectedErdosRenyi(5 + seed % 3, 0.4, 12000 + seed),
+        workloads::ConnectedErdosRenyi(6 + seed % 3, 0.3, 12100 + seed));
+    EXPECT_EQ(EnumeratePmcs(g, threads()), PmcsBruteForce(g))
+        << "seed=" << seed;
+  }
+}
+
+// Graphs with 45–200 PMCs: most of their late prefix steps have enough
+// candidate sources to pass the parallel cutover.
+TEST_P(PmcDifferential, LargerGraphsMatchBruteForce) {
+  for (int seed = 0; seed < 16; ++seed) {
+    const int n = 13 + seed % 4;  // 13..16
+    const double p = 0.2 + 0.05 * (seed % 4);
+    Graph g = workloads::ConnectedErdosRenyi(n, p, 13000 + seed);
+    EXPECT_EQ(EnumeratePmcs(g, threads()), PmcsBruteForce(g))
+        << "n=" << n << " p=" << p << " seed=" << seed;
+  }
+}
+
+TEST_P(PmcDifferential, BoundedRunsMatchFilteredBruteForce) {
+  for (int seed = 0; seed < 8; ++seed) {
+    Graph g = workloads::ConnectedErdosRenyi(8, 0.35, 6000 + seed);
+    for (int bound = 2; bound <= 4; ++bound) {
+      EXPECT_EQ(EnumeratePmcs(g, threads(), bound), BruteForceUpTo(g, bound))
+          << "n=8 seed=" << seed << " bound=" << bound;
+    }
+  }
+  for (int seed = 0; seed < 12; ++seed) {
+    const int n = 11 + seed % 5;  // 11..15
+    Graph g = seed % 3 == 0
+                  ? workloads::ErdosRenyi(n, 0.2, 14000 + seed)
+                  : workloads::ConnectedErdosRenyi(n, 0.3, 14000 + seed);
+    for (int bound = 2; bound <= 6; ++bound) {
+      EXPECT_EQ(EnumeratePmcs(g, threads(), bound), BruteForceUpTo(g, bound))
+          << "n=" << n << " seed=" << seed << " bound=" << bound;
+    }
+  }
+}
+
+TEST_P(PmcDifferential, CountsTheTestsItRuns) {
+  Graph g = workloads::Grid(4, 4);
+  PmcOptions options;
+  options.limits.num_threads = threads();
+  PmcResult r = ListPotentialMaximalCliques(g, options);
+  ASSERT_EQ(r.status, EnumerationStatus::kComplete);
+  // Every accepted PMC of every prefix was tested once, so the final Π(G)
+  // alone bounds the count from below.
+  EXPECT_GE(r.num_tests, r.pmcs.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, PmcDifferential, ::testing::Values(1, 4));
+
+// Π(G) of family graphs pinned to the enumeration before the case-4
+// restriction to new separators: the count and PmcDigest of the sorted
+// list, identical at one and four threads.
+struct PinnedPmcs {
+  const char* family;
+  const char* graph;
+  size_t count;
+  uint64_t digest;
+};
+
+class PinnedFamilyPmcs : public ::testing::TestWithParam<int> {};
+
+TEST_P(PinnedFamilyPmcs, CountAndDigestUnchanged) {
+  const PinnedPmcs pins[] = {
+      {"Grids", "grid5x5", 4785, 0x2d36e92434bbd74cULL},
+      {"Grids", "grid6x6", 68270, 0xe62d933d4cb552f2ULL},
+      {"CSP", "csp_rand_5", 7687, 0x751fae5ec21abbcbULL},
+      {"Segmentation", "segment_0", 11258, 0x06a9f6780b0dfe23ULL},
+  };
+  for (const PinnedPmcs& pin : pins) {
+    const Graph* g = nullptr;
+    const workloads::DatasetFamily family = workloads::FamilyByName(pin.family);
+    for (const workloads::DatasetGraph& dg : family.graphs) {
+      if (dg.name == pin.graph) g = &dg.graph;
+    }
+    ASSERT_NE(g, nullptr) << pin.graph;
+    const std::vector<VertexSet> pmcs = EnumeratePmcs(*g, GetParam());
+    EXPECT_EQ(pmcs.size(), pin.count) << pin.graph;
+    EXPECT_EQ(PmcDigest(pmcs), pin.digest) << pin.graph;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, PinnedFamilyPmcs, ::testing::Values(1, 4));
 
 }  // namespace
 }  // namespace mintri
