@@ -176,6 +176,13 @@ const VertexSet& ComponentScanner::ComponentOf(const Graph& g,
   return component_;
 }
 
+const VertexSet& ComponentScanner::ComponentNeighborhood(
+    const Graph& g, const VertexSet& removed, int v) {
+  assert(!removed.Contains(v));
+  ScanFrom(g, removed, v);
+  return neighborhood_;
+}
+
 void ComponentScanner::ScanFrom(const Graph& g, const VertexSet& removed,
                                 int start) {
   const int n = g.NumVertices();

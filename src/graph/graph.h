@@ -141,6 +141,11 @@ class ComponentScanner {
   const VertexSet& ComponentOf(const Graph& g, const VertexSet& removed,
                                int v);
 
+  /// N(C) for the component C of g \ removed containing v, as a reference
+  /// into scanner scratch (valid until the next scanner call).
+  const VertexSet& ComponentNeighborhood(const Graph& g,
+                                         const VertexSet& removed, int v);
+
  private:
   // BFS from `start`, filling component_ with its component of g \ removed
   // and neighborhood_ with that component's neighborhood.

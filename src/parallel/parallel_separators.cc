@@ -57,7 +57,7 @@ struct Engine {
   // expansion's discoveries go out in one PushBatch instead of one mutex
   // round-trip each. As in the serial engine, exceeding max_results means
   // the full answer set is strictly larger than the cap: truncated.
-  void Offer(int worker, std::vector<uint64_t>* pending, const VertexSet& s) {
+  void Offer(std::vector<uint64_t>* pending, const VertexSet& s) {
     if (s.Empty()) return;
     if (max_size < g.NumVertices() && s.Count() > max_size) return;
     ShardedVertexSetTable::Ref ref;
@@ -85,7 +85,7 @@ struct Engine {
     uint64_t batch[kPopBatch];
 
     auto offer = [&](const VertexSet&, const VertexSet& nb) {
-      Offer(worker, &pending, nb);
+      Offer(&pending, nb);
     };
 
     size_t got;

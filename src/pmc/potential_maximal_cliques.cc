@@ -89,14 +89,6 @@ class PmcTester {
 constexpr int kMinParallelVertices = 20;
 constexpr size_t kMinParallelItems = 64;
 
-// What a `consider` callback did with one candidate.
-enum class Verdict {
-  kSkipped,   // empty, over max_size or a duplicate: not tested here
-  kRejected,  // tested, not a PMC
-  kAccepted,  // tested, a PMC
-  kStop,      // a limit was hit; generation must stop
-};
-
 // The read-only inputs of one OneMoreVertex step, G_i → G_{i+1}, with the
 // candidate sources already filtered by the case analysis (see the header).
 // Serial and parallel Step share one plan and one generator, so the case
@@ -213,20 +205,19 @@ class IncrementalEnumerator {
     // candidate — the single hottest allocation site of the serial PMC
     // path once VertexSets themselves went inline.)
     tried_.Clear();
-    auto consider = [&](VertexSet&& omega) -> Verdict {
+    auto consider = [&](VertexSet&& omega, bool is_pmc) -> bool {
       if (omega.Empty() || omega.Count() > options_.max_size ||
           !tried_.Insert(omega)) {
         pool_.Release(std::move(omega));
-        return Verdict::kSkipped;
+        return true;
       }
       ++num_tests_;
-      if (tester_.Test(plan.next, omega)) {
+      if (is_pmc || tester_.Test(plan.next, omega)) {
         out->push_back(std::move(omega));
-        return out->size() > options_.limits.max_results ? Verdict::kStop
-                                                         : Verdict::kAccepted;
+        return out->size() <= options_.limits.max_results;
       }
       pool_.Release(std::move(omega));
-      return Verdict::kRejected;
+      return true;
     };
 
     const size_t num_items = plan.NumItems();
@@ -241,15 +232,19 @@ class IncrementalEnumerator {
   }
 
   // Generates the PMC candidates of one item of the plan's flat work space
-  // and feeds them to `consider`; returns false as soon as it says kStop.
-  // Items are: case 1 & 2 (a prefix PMC Ω, then Ω ∪ {a} unless Ω was
-  // accepted), then case 3 (S ∪ {a}), then case 4 (the products
-  // S ∪ (T ∩ C) for one outer separator S and every component C of
-  // G_{i+1} \ S). Scratch is caller-supplied (per-thread in the parallel
-  // path). Candidate sets come from the caller's free-list pool and
-  // `consider` takes ownership — it must either keep the set (an accepted
-  // PMC) or Release it back, so the generate-mostly-reject loop recycles
-  // the same few buffers instead of churning one per candidate.
+  // and feeds them to `consider`, which returns false once a limit was hit;
+  // then generation stops and this returns false too. Items are: case 1 & 2
+  // (a prefix PMC Ω', lifted to Ω' or Ω' ∪ {a} by one component scan from
+  // a, and passed on as already decided), then case 3 (S ∪ {a}), then
+  // case 4 (the products S ∪ (T ∩ C) for one outer separator S and every
+  // component C of G_{i+1} \ S but a's own). The second argument of
+  // `consider` says the candidate is known to be a PMC of G_{i+1}; every
+  // other candidate goes through IsPmc. Scratch is caller-supplied
+  // (per-thread in the parallel path). Candidate sets come from the
+  // caller's free-list pool and `consider` takes ownership — it must either
+  // keep the set (an accepted PMC) or Release it back, so the
+  // generate-mostly-reject loop recycles the same few buffers instead of
+  // churning one per candidate.
   template <typename Consider>
   static bool GenerateCandidates(const StepPlan& plan, size_t item,
                                  ComponentScanner* scanner,
@@ -260,29 +255,28 @@ class IncrementalEnumerator {
     const size_t num_case3 = plan.case3.size();
     const int n = plan.next.NumVertices();
     if (item < num_pmcs) {
-      const VertexSet& prev = plan.prev_pmcs[item];
+      // Exactly one of Ω' and Ω' ∪ {a} is a PMC of G_{i+1}: Ω' ∪ {a} iff
+      // a's component of G_{i+1} \ Ω' is full (see the header).
       VertexSet omega = pool->Acquire(n);
-      prev.ForEach([&](int v) { omega.Insert(v); });
-      const Verdict verdict = consider(std::move(omega));
-      // A PMC Ω of G_{i+1} rules out Ω ∪ {a}. A skipped (duplicate) Ω has
-      // no verdict here, so Ω ∪ {a} is tried as well.
-      if (verdict == Verdict::kStop) return false;
-      if (verdict == Verdict::kAccepted) return true;
-      VertexSet with_a = pool->Acquire(n);
-      prev.ForEach([&](int v) { with_a.Insert(v); });
-      with_a.Insert(plan.a);
-      return consider(std::move(with_a)) != Verdict::kStop;
+      plan.prev_pmcs[item].ForEach([&](int v) { omega.Insert(v); });
+      if (scanner->ComponentNeighborhood(plan.next, omega, plan.a) == omega) {
+        omega.Insert(plan.a);
+      }
+      return consider(std::move(omega), /*is_pmc=*/true);
     }
     if (item < num_pmcs + num_case3) {
       VertexSet omega = pool->Acquire(n);
       omega = *plan.case3[item - num_pmcs];
       omega.Insert(plan.a);
-      return consider(std::move(omega)) != Verdict::kStop;
+      return consider(std::move(omega), /*is_pmc=*/false);
     }
     const VertexSet& s = *plan.case4[item - num_pmcs - num_case3];
     scanner->Components(plan.next, s, components);
     for (const VertexSet* t : plan.t_list) {
       for (const VertexSet& c : *components) {
+        // A product through a's component contains a, and every PMC
+        // containing a is reached by case 2 or 3.
+        if (c.Contains(plan.a)) continue;
         VertexSet cand = pool->Acquire(n);
         cand = *t;
         cand.IntersectWith(c);
@@ -291,7 +285,7 @@ class IncrementalEnumerator {
           continue;
         }
         cand.UnionWith(s);
-        if (consider(std::move(cand)) == Verdict::kStop) return false;
+        if (!consider(std::move(cand), /*is_pmc=*/false)) return false;
       }
     }
     return true;
@@ -303,9 +297,9 @@ class IncrementalEnumerator {
   // sharded table on the cached VertexSet hashes, and accepted PMCs land in
   // per-worker vectors that are concatenated at the join. The output *set*
   // is exactly the serial one, Π(G_{i+1}): every PMC is produced by some
-  // item whatever the claim order, and IsPmc is order-independent. Only
-  // the order within `out` differs, and ListPotentialMaximalCliques sorts
-  // the final result anyway.
+  // item whatever the claim order, and every verdict (IsPmc or the
+  // case-1/2 scan) is order-independent. Only the order within `out`
+  // differs, and ListPotentialMaximalCliques sorts the final result anyway.
   bool ParallelStep(const StepPlan& plan, std::vector<VertexSet>* out) {
     // Clamped before sizing shard/worker state, mirroring RunOnThreads.
     const int num_threads =
@@ -327,22 +321,20 @@ class IncrementalEnumerator {
       std::vector<VertexSet>& local_out = worker_out[worker];
       size_t local_tests = 0;
 
-      auto consider = [&](VertexSet&& omega) -> Verdict {
+      auto consider = [&](VertexSet&& omega, bool is_pmc) -> bool {
         if (omega.Empty() || omega.Count() > options_.max_size ||
             !tried.Insert(omega)) {
           pool.Release(std::move(omega));
-          return Verdict::kSkipped;
+          return true;
         }
         ++local_tests;
-        if (tester.Test(plan.next, omega)) {
+        if (is_pmc || tester.Test(plan.next, omega)) {
           local_out.push_back(std::move(omega));
-          return accepted.fetch_add(1, std::memory_order_relaxed) + 1 >
-                         options_.limits.max_results
-                     ? Verdict::kStop
-                     : Verdict::kAccepted;
+          return accepted.fetch_add(1, std::memory_order_relaxed) + 1 <=
+                 options_.limits.max_results;
         }
         pool.Release(std::move(omega));
-        return Verdict::kRejected;
+        return true;
       };
 
       while (!stopped.load(std::memory_order_relaxed)) {

@@ -73,13 +73,18 @@ void TriangulationContext::BuildBlocksAndWiring(TriangulationContext* ctx,
   //  - for each associated minimal separator S of Ω, the block (S, C*) where
   //    C* ⊇ Ω \ S is a full block with S ⊂ Ω ⊆ S ∪ C*, and Ω's children
   //    inside R(S, C*) are the associated blocks whose component lies in C*.
+  //    No search is needed for C*: a component C of G \ Ω with N(C) ⊆ S
+  //    is a whole component of G \ S, and one with N(C) ⊄ S touches
+  //    Ω \ S, which lies in the single component C*. So
+  //    C* = V \ S \ ⋃{C : N(C) ⊆ S}, and the children are the associated
+  //    blocks with N(C) ⊄ S.
   // Each PMC's wiring only reads the frozen Step-1..3 tables, so the sweep
   // forks over the PMCs; the serial path runs the same per-PMC routine.
   stage_timer.Reset();
   std::vector<PmcWiring> wiring(ctx->pmcs_.size());
 
   const auto wire_one = [&](size_t pi, ComponentScanner& scanner,
-                            std::vector<int>& sep_scratch) {
+                            std::vector<int>& sep_scratch, VertexSet& cstar) {
     const VertexSet& omega = ctx->pmcs_[pi];
     PmcWiring& w = wiring[pi];
 
@@ -115,19 +120,22 @@ void TriangulationContext::BuildBlocksAndWiring(TriangulationContext* ctx,
                       sep_scratch.end());
     for (int sid : sep_scratch) {
       const VertexSet& s = ctx->minseps_[sid];
-      VertexSet rest = omega.Minus(s);
-      assert(!rest.Empty());  // S = Ω is impossible for a PMC
-      const VertexSet& cstar = scanner.ComponentOf(g, s, rest.First());
+      cstar.AssignComplementOf(s);
+      std::vector<int> kids;
+      for (int bid : w.assoc_ids) {
+        const BlockEntry& b = ctx->blocks_[bid];
+        if (b.separator.IsSubsetOf(s)) {
+          cstar.MinusWith(b.component);
+        } else {
+          kids.push_back(bid);
+        }
+      }
+      // S = Ω is impossible for a PMC, so Ω \ S names C*'s BFS root.
+      assert(cstar == scanner.ComponentOf(g, s, omega.Minus(s).First()));
       int host = ctx->block_index_.Find(cstar);
       if (host < 0) continue;  // partial context: block not materialized
       assert(s.IsSubsetOf(omega) &&
              omega.IsSubsetOf(ctx->blocks_[host].vertices));
-      std::vector<int> kids;
-      for (int bid : w.assoc_ids) {
-        if (cstar.Contains(ctx->blocks_[bid].component.First())) {
-          kids.push_back(bid);
-        }
-      }
       w.hosts.emplace_back(host, std::move(kids));
     }
   };
@@ -141,21 +149,23 @@ void TriangulationContext::BuildBlocksAndWiring(TriangulationContext* ctx,
     parallel::RunOnThreads(wiring_threads, [&](int) {
       ComponentScanner scanner;
       std::vector<int> sep_scratch;
+      VertexSet cstar;
       constexpr size_t kChunk = 8;
       while (true) {
         size_t begin = cursor.fetch_add(kChunk, std::memory_order_relaxed);
         if (begin >= wiring.size()) break;
         size_t end = std::min(begin + kChunk, wiring.size());
         for (size_t pi = begin; pi < end; ++pi) {
-          wire_one(pi, scanner, sep_scratch);
+          wire_one(pi, scanner, sep_scratch, cstar);
         }
       }
     });
   } else {
     ComponentScanner scanner;
     std::vector<int> sep_scratch;
+    VertexSet cstar;
     for (size_t pi = 0; pi < wiring.size(); ++pi) {
-      wire_one(pi, scanner, sep_scratch);
+      wire_one(pi, scanner, sep_scratch, cstar);
     }
   }
 

@@ -54,7 +54,7 @@ struct ContextBuildInfo {
   size_t num_minseps = 0;
   size_t num_pmcs = 0;
   size_t num_blocks = 0;
-  size_t num_pmc_tests = 0;  // IsPmc evaluations of the PMC stage
+  size_t num_pmc_tests = 0;  // PmcResult::num_tests of the PMC stage
 
   // Per-build termination tally. One Build/BuildFromFamily call counts as
   // one build; Accumulate sums these, so an aggregate over many atoms keeps

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "test_util.h"
+#include "workloads/families.h"
 #include "workloads/named_graphs.h"
 #include "workloads/random_graphs.h"
 
@@ -89,7 +92,8 @@ TEST(ContextTest, BuildInfoOnSuccess) {
   EXPECT_EQ(info.num_minseps, 3u);
   EXPECT_EQ(info.num_pmcs, 6u);
   EXPECT_EQ(info.num_blocks, 7u);
-  // Each accepted PMC was tested at least once.
+  // Each accepted PMC was decided once, by IsPmc or by the scan that lifts
+  // a prefix PMC.
   EXPECT_GE(info.num_pmc_tests, info.num_pmcs);
   ContextBuildInfo sum = info;
   sum.Accumulate(info);
@@ -202,6 +206,64 @@ TEST(ContextTest, BoundedContextFiltersSizes) {
     EXPECT_LE(s.Count(), 3);
   }
   for (const VertexSet& p : ctx->pmcs()) EXPECT_LE(p.Count(), 4);
+}
+
+uint64_t Mix(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+uint64_t Fold(uint64_t h, const std::vector<int>& ids) {
+  h = Mix(h ^ ids.size());
+  for (int id : ids) h = Mix(h ^ static_cast<uint64_t>(id + 1));
+  return h;
+}
+
+// An order-sensitive digest of the DP wiring: the root candidates and
+// children, then every block's candidate PMCs and children, by block id.
+uint64_t WiringDigest(const TriangulationContext& ctx) {
+  uint64_t h = Fold(0, ctx.root_candidates());
+  for (const std::vector<int>& kids : ctx.root_children()) h = Fold(h, kids);
+  for (const TriangulationContext::BlockEntry& block : ctx.blocks()) {
+    h = Fold(h, block.candidate_pmcs);
+    for (const std::vector<int>& kids : block.children) h = Fold(h, kids);
+  }
+  return h;
+}
+
+// The wiring of family graphs pinned to the one that located each host
+// block (S, C*) with a BFS from Ω \ S, at one and four threads.
+TEST(ContextTest, WiringDigestUnchanged) {
+  struct Pin {
+    const char* family;
+    const char* graph;
+    size_t blocks;
+    uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"Grids", "grid6x6", 9150, 0x0490411f0deaa861ULL},
+      {"CSP", "csp_rand_5", 2170, 0x4595902e014d6d56ULL},
+      {"Segmentation", "segment_0", 2260, 0x9a566279850a6f9eULL},
+  };
+  for (const Pin& pin : pins) {
+    const Graph* g = nullptr;
+    const workloads::DatasetFamily family = workloads::FamilyByName(pin.family);
+    for (const workloads::DatasetGraph& dg : family.graphs) {
+      if (dg.name == pin.graph) g = &dg.graph;
+    }
+    ASSERT_NE(g, nullptr) << pin.graph;
+    for (int threads : {1, 4}) {
+      ContextOptions options;
+      options.num_threads = threads;
+      auto ctx = TriangulationContext::Build(*g, options);
+      ASSERT_TRUE(ctx.has_value()) << pin.graph;
+      EXPECT_EQ(ctx->blocks().size(), pin.blocks) << pin.graph;
+      EXPECT_EQ(WiringDigest(*ctx), pin.digest)
+          << pin.graph << " threads=" << threads;
+    }
+  }
 }
 
 }  // namespace

@@ -113,6 +113,21 @@ TEST(GraphTest, ComponentsAfterRemoving) {
             VertexSet::Of(5, {3, 4}));
 }
 
+TEST(GraphTest, ScannerComponentAndNeighborhood) {
+  // Path 0-1-2-3-4 plus chord 0-3; removing {1, 3} leaves {0}, {2}, {4}.
+  Graph g = MakeGraph(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 3}});
+  const VertexSet removed = VertexSet::Of(5, {1, 3});
+  ComponentScanner scanner;
+  EXPECT_EQ(scanner.ComponentOf(g, removed, 2), VertexSet::Of(5, {2}));
+  EXPECT_EQ(scanner.ComponentNeighborhood(g, removed, 0),
+            VertexSet::Of(5, {1, 3}));
+  EXPECT_EQ(scanner.ComponentNeighborhood(g, removed, 4),
+            VertexSet::Of(5, {3}));
+  // Removing {2} leaves one component, whose neighborhood is {2}.
+  EXPECT_EQ(scanner.ComponentNeighborhood(g, VertexSet::Of(5, {2}), 4),
+            VertexSet::Of(5, {2}));
+}
+
 TEST(GraphTest, UnionOf) {
   Graph a = MakeGraph(4, {{0, 1}});
   Graph b = MakeGraph(4, {{0, 1}, {2, 3}});

@@ -7,6 +7,7 @@
 #include <limits>
 #include <string>
 
+#include "separators/minimal_separators.h"
 #include "test_util.h"
 #include "workloads/families.h"
 #include "workloads/named_graphs.h"
@@ -62,6 +63,48 @@ uint64_t PmcDigest(const std::vector<VertexSet>& pmcs) {
     sum += h;
   }
   return sum;
+}
+
+// g relabeled into a BFS order from vertex 0, so that every prefix
+// 0..k-1 induces a connected graph.
+Graph InBfsOrder(const Graph& g) {
+  const int n = g.NumVertices();
+  std::vector<int> order = {0};
+  VertexSet seen = VertexSet::Single(n, 0);
+  for (size_t head = 0; head < order.size(); ++head) {
+    g.Neighbors(order[head]).ForEach([&](int u) {
+      if (!seen.Contains(u)) {
+        seen.Insert(u);
+        order.push_back(u);
+      }
+    });
+  }
+  std::vector<int> new_of_old(n);
+  for (int i = 0; i < n; ++i) new_of_old[order[i]] = i;
+  Graph out(n);
+  for (const auto& [u, v] : g.Edges()) {
+    out.AddEdge(new_of_old[u], new_of_old[v]);
+  }
+  return out;
+}
+
+// G_k: the subgraph induced by vertices 0..k-1, labels kept.
+Graph Prefix(const Graph& g, int k) {
+  VertexSet keep(g.NumVertices());
+  for (int v = 0; v < k; ++v) keep.Insert(v);
+  return g.InducedSubgraph(keep);
+}
+
+// s with its vertices re-read in a universe of `capacity` vertices (which
+// must hold all of them).
+VertexSet Recap(const VertexSet& s, int capacity) {
+  VertexSet out(capacity);
+  s.ForEach([&](int v) { out.Insert(v); });
+  return out;
+}
+
+bool Has(const std::vector<VertexSet>& sets, const VertexSet& s) {
+  return std::find(sets.begin(), sets.end(), s) != sets.end();
 }
 
 TEST(IsPmcTest, PaperExamplePmcs) {
@@ -175,6 +218,49 @@ TEST(PmcEnumerationTest, SingleVertexAndSingleEdge) {
   EXPECT_EQ(pmcs2[0], VertexSet::All(2));
 }
 
+// The two lemmas behind the enumerator's case analysis, checked against
+// brute force at every prefix step G_i → G_{i+1} with new vertex a = i:
+// (a) for Ω' ∈ Π(G_i), exactly one of Ω' and Ω' ∪ {a} is in Π(G_{i+1}),
+//     and it is Ω' ∪ {a} iff a's component of G_{i+1} \ Ω' is full;
+// (b) every Ω ∈ Π(G_{i+1}) with a ∈ Ω has Ω \ {a} ∈ Π(G_i) ∪ Δ(G_{i+1}).
+TEST(PmcLemmaTest, EveryPrefixStepObeysBothLemmas) {
+  for (int seed = 0; seed < 30; ++seed) {
+    const int n = 6 + seed % 6;  // 6..11
+    const double p = 0.2 + 0.06 * (seed % 5);
+    const Graph g =
+        InBfsOrder(workloads::ConnectedErdosRenyi(n, p, 15000 + seed));
+    std::vector<VertexSet> prev = PmcsBruteForce(Prefix(g, 1));
+    for (int i = 1; i < n; ++i) {
+      const Graph next = Prefix(g, i + 1);
+      ASSERT_TRUE(next.IsConnected());
+      const int a = i;
+      const std::vector<VertexSet> pmcs = PmcsBruteForce(next);
+      const std::vector<VertexSet> seps = MinimalSeparatorsBruteForce(next);
+      for (const VertexSet& lifted : prev) {
+        const VertexSet omega = Recap(lifted, i + 1);
+        VertexSet with_a = omega;
+        with_a.Insert(a);
+        const VertexSet c = next.ComponentOf(a, omega);
+        VertexSet nb(i + 1);
+        c.ForEach([&](int v) { nb.UnionWith(next.Neighbors(v)); });
+        nb.MinusWith(c);
+        EXPECT_NE(Has(pmcs, omega), Has(pmcs, with_a))
+            << "seed=" << seed << " i=" << i << " Ω'=" << omega.ToString();
+        EXPECT_EQ(Has(pmcs, with_a), nb == omega)
+            << "seed=" << seed << " i=" << i << " Ω'=" << omega.ToString();
+      }
+      for (const VertexSet& omega : pmcs) {
+        if (!omega.Contains(a)) continue;
+        VertexSet rest = omega;
+        rest.Erase(a);
+        EXPECT_TRUE(Has(prev, Recap(rest, i)) || Has(seps, rest))
+            << "seed=" << seed << " i=" << i << " Ω=" << omega.ToString();
+      }
+      prev = pmcs;
+    }
+  }
+}
+
 // Brute-force differentials of the pruned case analysis at one and four
 // threads: four threads route every prefix step past the parallel cutover
 // through ParallelStep, whose case-1/2 verdicts can meet duplicates.
@@ -238,8 +324,9 @@ TEST_P(PmcDifferential, CountsTheTestsItRuns) {
   options.limits.num_threads = threads();
   PmcResult r = ListPotentialMaximalCliques(g, options);
   ASSERT_EQ(r.status, EnumerationStatus::kComplete);
-  // Every accepted PMC of every prefix was tested once, so the final Π(G)
-  // alone bounds the count from below.
+  // Every PMC of every prefix was decided once (by IsPmc or by the scan
+  // that lifts a prefix PMC), so the final Π(G) alone bounds the count from
+  // below.
   EXPECT_GE(r.num_tests, r.pmcs.size());
 }
 
