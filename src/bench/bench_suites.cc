@@ -129,9 +129,9 @@ StreamRun DrainStream(const SuiteContext& ctx, double budget,
 }
 
 std::optional<CostValue> NextCost(TieredEnumerator& enumerator) {
-  std::optional<TieredResult> r = enumerator.Next();
-  if (!r.has_value()) return std::nullopt;
-  return r->triangulation.cost;
+  const GluedTree* t = enumerator.NextGlued();
+  if (t == nullptr) return std::nullopt;
+  return t->cost;
 }
 
 std::optional<CostValue> NextCost(CkkEnumerator& enumerator) {

@@ -94,14 +94,14 @@ BatchRecord RunOneInstance(const std::string& spec,
   record.tier1_seconds = enumerator.tier1_seconds();
   record.tier2_seconds = enumerator.tier2_seconds();
   for (long long rank = 1; rank <= options.top; ++rank) {
-    std::optional<TieredResult> t = enumerator.Next();
-    if (!t.has_value()) break;
+    const GluedTree* t = enumerator.NextGlued();
+    if (t == nullptr) break;
     BatchRecord::Row row;
     row.rank = static_cast<int>(rank);
-    row.cost = t->triangulation.cost;
-    row.width = t->triangulation.Width();
-    row.fill = t->triangulation.FillIn(instance->graph);
-    row.bags = static_cast<int>(t->triangulation.bags.size());
+    row.cost = t->cost;
+    row.width = t->Width();
+    row.fill = t->fill;
+    row.bags = static_cast<int>(t->bags.size());
     record.results.push_back(row);
   }
   if (model->cache != nullptr) {

@@ -226,20 +226,37 @@ int RunBenchCommand(const std::vector<std::string>& args, std::ostream& out,
   return 0;
 }
 
-void PrintResult(const Options& options, const Graph& g, int rank,
-                 Triangulation t, std::ostream& out,
-                 const char* tier = nullptr) {
+// One result: a header line, then (--format=td) its PACE .td block.
+void PrintHeader(const Options& options, int rank, CostValue cost, int width,
+                 long long fill, size_t bags, const char* tier,
+                 std::ostream& out) {
   if (options.format == "td") {
-    out << "c result " << rank << " cost " << t.cost << " width "
-        << t.Width() << " fill " << t.FillIn(g);
+    out << "c result " << rank << " cost " << cost << " width " << width
+        << " fill " << fill;
     if (tier != nullptr) out << " tier " << tier;
-    out << "\n";
-    WritePaceTd(CliqueTreeOf(std::move(t)), g.NumVertices(), out);
   } else {
-    out << "#" << rank << " cost=" << t.cost << " width=" << t.Width()
-        << " fill=" << t.FillIn(g) << " bags=" << t.bags.size();
+    out << "#" << rank << " cost=" << cost << " width=" << width
+        << " fill=" << fill << " bags=" << bags;
     if (tier != nullptr) out << " tier=" << tier;
-    out << "\n";
+  }
+  out << "\n";
+}
+
+void PrintResult(const Options& options, const Graph& g, int rank,
+                 Triangulation t, std::ostream& out) {
+  PrintHeader(options, rank, t.cost, t.Width(), t.FillIn(g), t.bags.size(),
+              nullptr, out);
+  if (options.format == "td") {
+    WritePaceTd(CliqueTreeOf(std::move(t)), g.NumVertices(), out);
+  }
+}
+
+void PrintResult(const Options& options, const Graph& g, int rank,
+                 const GluedTree& t, std::ostream& out) {
+  PrintHeader(options, rank, t.cost, t.Width(), t.fill, t.bags.size(),
+              TierName(t.tier), out);
+  if (options.format == "td") {
+    WritePaceTd(t.members, t.bags, t.Edges(), g.NumVertices(), out);
   }
 }
 
@@ -370,11 +387,10 @@ int RunCli(const std::vector<std::string>& args, std::istream& in,
   }
   long long results = 0;
   while (results < options.top) {
-    auto t = e.Next();
-    if (!t.has_value()) break;
+    const GluedTree* t = e.NextGlued();
+    if (t == nullptr) break;
     ++results;
-    PrintResult(options, g, static_cast<int>(results),
-                std::move(t->triangulation), out, TierName(t->tier));
+    PrintResult(options, g, static_cast<int>(results), *t, out);
   }
   if (options.stats) {
     err << "solver: optimizer_calls=" << e.num_optimizer_calls()

@@ -28,6 +28,49 @@ bool IsTierDecomposableCost(const std::string& cost_name) {
          cost_name == "hypertree" || cost_name == "fhw";
 }
 
+int GluedTree::Width() const {
+  int width = -1;
+  for (const BagRange& bag : bags) width = std::max(width, bag.size() - 1);
+  return width;
+}
+
+std::vector<std::pair<int, int>> GluedTree::Edges() const {
+  std::vector<std::pair<int, int>> edges;
+  for (size_t i = 0; i < parent.size(); ++i) {
+    if (parent[i] >= 0) edges.emplace_back(parent[i], static_cast<int>(i));
+  }
+  return edges;
+}
+
+Triangulation GluedTree::ToTriangulation(const Graph& g) const {
+  const int n = g.NumVertices();
+  Triangulation out;
+  out.filled = g;
+  out.bags.reserve(bags.size());
+  for (const BagRange& range : bags) {
+    VertexSet bag(n);
+    for (int at = range.begin; at < range.end; ++at) {
+      bag.Insert(members[at]);
+      for (int other = range.begin; other < at; ++other) {
+        out.filled.AddEdge(members[other], members[at]);
+      }
+    }
+    out.bags.push_back(std::move(bag));
+  }
+  out.parent = parent;
+  for (size_t id = 0; id < out.bags.size(); ++id) {
+    if (parent[id] < 0) continue;
+    VertexSet adhesion = out.bags[id].Intersect(out.bags[parent[id]]);
+    if (!adhesion.Empty()) out.separators.push_back(std::move(adhesion));
+  }
+  std::sort(out.separators.begin(), out.separators.end());
+  out.separators.erase(
+      std::unique(out.separators.begin(), out.separators.end()),
+      out.separators.end());
+  out.cost = cost;
+  return out;
+}
+
 TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
                                    CostComposition composition,
                                    const ContextOptions& options,
@@ -83,8 +126,9 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
     for (const EliminatedVertex& ev : pre.eliminated) {
       std::vector<int> neighbors = relabel(ev.bag);
       const int vertex = comp_old_of_new[ev.vertex];
+      std::vector<int> bag = neighbors;
       neighbors.erase(std::find(neighbors.begin(), neighbors.end(), vertex));
-      lifts_.push_back({vertex, std::move(neighbors)});
+      lifts_.push_back({vertex, std::move(neighbors), std::move(bag)});
     }
     // Orient the atom tree away from each tree's first atom, parents first,
     // so Assemble attaches every atom's clique tree to an already glued one.
@@ -158,6 +202,7 @@ bool TieredEnumerator::AddUnit(const Graph& sub, std::vector<int> old_of_new,
                                double remaining_budget) {
   Unit unit;
   unit.old_of_new = std::move(old_of_new);
+  unit.num_edges = sub.NumEdges();
   // The unit subgraph renumbers vertices, so vertex-dependent costs
   // (hypergraph edge covers, per-vertex domains, weighted fill) must be
   // re-anchored to the original labels. Only the whole graph keeps the
@@ -305,7 +350,17 @@ bool TieredEnumerator::Materialize(int unit_id, size_t i) {
       unit.exhausted = true;
       break;
     }
-    unit.produced.push_back(std::move(*t));
+    // Relabeled bags stay sorted: old_of_new is increasing.
+    GluedTree part;
+    for (const VertexSet& bag : t->bags) {
+      const int begin = static_cast<int>(part.members.size());
+      bag.ForEach([&](int v) { part.members.push_back(unit.old_of_new[v]); });
+      part.bags.push_back({begin, static_cast<int>(part.members.size())});
+    }
+    part.parent = std::move(t->parent);
+    part.cost = t->cost;
+    part.fill = t->filled.NumEdges() - unit.num_edges;
+    unit.produced.push_back(std::move(part));
   }
   return unit.produced.size() > i;
 }
@@ -319,7 +374,7 @@ CostValue TieredEnumerator::Compose(const std::vector<size_t>& indices) const {
   return acc;
 }
 
-Triangulation TieredEnumerator::Assemble(const std::vector<size_t>& indices) {
+void TieredEnumerator::Assemble(const std::vector<size_t>& indices) {
   // Glue the result from the units' clique trees, without rebuilding one
   // over the whole graph (Leimer): adjacent atoms overlap in a clique
   // separator, so linking one bag ⊇ it on each side keeps the junction
@@ -327,23 +382,27 @@ Triangulation TieredEnumerator::Assemble(const std::vector<size_t>& indices) {
   // no Tier-0 rewriting there is nothing to glue, and the result is the
   // units' clique trees side by side, one tree per connected component.
   const int n = g_.NumVertices();
-  Triangulation out;
-  out.filled = g_;
-  std::vector<VertexSet>& bags = out.bags;
+  GluedTree& out = glued_;
+  std::vector<int>& members = out.members;
+  std::vector<BagRange>& bags = out.bags;
   std::vector<int>& parent = out.parent;
+  members.clear();
+  bags.clear();
+  parent.clear();
+  out.fill = 0;
+  out.tier = tier_;
   std::vector<int> unit_offset(units_.size() + 1, 0);
   for (size_t c = 0; c < indices.size(); ++c) {
-    const Unit& unit = units_[c];
-    const Triangulation& part = unit.produced[indices[c]];
+    const GluedTree& part = units_[c].produced[indices[c]];
     const int offset = static_cast<int>(bags.size());
+    const int shift = static_cast<int>(members.size());
     unit_offset[c] = offset;
+    members.insert(members.end(), part.members.begin(), part.members.end());
     for (size_t b = 0; b < part.bags.size(); ++b) {
-      VertexSet bag(n);
-      part.bags[b].ForEach([&](int v) { bag.Insert(unit.old_of_new[v]); });
-      out.filled.SaturateSet(bag);
-      bags.push_back(std::move(bag));
+      bags.push_back({part.bags[b].begin + shift, part.bags[b].end + shift});
       parent.push_back(part.parent[b] < 0 ? -1 : part.parent[b] + offset);
     }
+    out.fill += part.fill;
   }
   unit_offset[indices.size()] = static_cast<int>(bags.size());
 
@@ -351,21 +410,24 @@ Triangulation TieredEnumerator::Assemble(const std::vector<size_t>& indices) {
   holders_.resize(n);
   for (std::vector<int>& h : holders_) h.clear();
   for (int id = 0; id < static_cast<int>(bags.size()); ++id) {
-    bags[id].ForEach([&](int v) { holders_[v].push_back(id); });
+    for (int at = bags[id].begin; at < bags[id].end; ++at) {
+      holders_[members[at]].push_back(id);
+    }
   }
-  // A bag ⊇ set (non-empty) with id in [lo, hi), found among the holders
-  // of the set's rarest vertex.
+  // A bag ⊇ set (non-empty, sorted) with id in [lo, hi), found among the
+  // holders of the set's rarest vertex.
   auto find_bag = [&](const std::vector<int>& set, int lo, int hi) {
     int rarest = set.front();
     for (const int v : set) {
       if (holders_[v].size() < holders_[rarest].size()) rarest = v;
     }
-    const auto contains_set = [&](int id) {
-      return std::all_of(set.begin(), set.end(),
-                         [&](int v) { return bags[id].Contains(v); });
-    };
     for (const int id : holders_[rarest]) {
-      if (id >= lo && id < hi && contains_set(id)) return id;
+      if (id >= lo && id < hi &&
+          std::includes(members.begin() + bags[id].begin,
+                        members.begin() + bags[id].end, set.begin(),
+                        set.end())) {
+        return id;
+      }
     }
     assert(false && "a clique of the glued triangulation lies in no bag");
     return -1;
@@ -390,47 +452,61 @@ Triangulation TieredEnumerator::Assemble(const std::vector<size_t>& indices) {
 
   // Lift bags in reverse elimination order: each N(v) is a clique of g
   // (so N[v] adds no fill) and of the triangulation glued so far, so some
-  // bag contains it. A bag equal to
-  // N(v) is the only one, and it would lie inside N[v]: it absorbs the lift
-  // bag in place, keeping its tree edges. An empty N(v) starts a new tree.
+  // bag contains it. A bag equal to N(v) is the only one, and it would lie
+  // inside N[v]: it absorbs the lift bag in place, keeping its tree edges
+  // (its range moves to N[v], appended to members). An empty N(v) starts a
+  // new tree.
   for (auto it = lifts_.rbegin(); it != lifts_.rend(); ++it) {
     const std::vector<int>& neighbors = it->neighbors;
-    VertexSet bag(n);
-    for (const int v : neighbors) bag.Insert(v);
-    bag.Insert(it->vertex);
     const int z = neighbors.empty()
                       ? -1
                       : find_bag(neighbors, 0, static_cast<int>(bags.size()));
-    if (z >= 0 && bags[z].Count() == static_cast<int>(neighbors.size())) {
+    const BagRange range = {
+        static_cast<int>(members.size()),
+        static_cast<int>(members.size() + it->bag.size())};
+    members.insert(members.end(), it->bag.begin(), it->bag.end());
+    if (z >= 0 && bags[z].size() == static_cast<int>(neighbors.size())) {
       holders_[it->vertex].push_back(z);
-      bags[z] = std::move(bag);
+      bags[z] = range;
     } else {
       const int id = static_cast<int>(bags.size());
-      for (const int v : neighbors) holders_[v].push_back(id);
-      holders_[it->vertex].push_back(id);
-      bags.push_back(std::move(bag));
+      for (const int v : it->bag) holders_[v].push_back(id);
+      bags.push_back(range);
       parent.push_back(z);
     }
   }
 
-  for (size_t id = 0; id < bags.size(); ++id) {
-    if (parent[id] < 0) continue;
-    VertexSet adhesion = bags[id].Intersect(bags[parent[id]]);
-    if (!adhesion.Empty()) out.separators.push_back(std::move(adhesion));
-  }
-  std::sort(out.separators.begin(), out.separators.end());
-  out.separators.erase(
-      std::unique(out.separators.begin(), out.separators.end()),
-      out.separators.end());
   // The queue is ordered by the composed unit costs, a monotone function of
   // the true cost for every tier-decomposable cost; once Tier 0 rewrote the
   // graph the emitted cost is re-evaluated on the final bags.
-  out.cost = lifted_ ? cost_.Evaluate(g_, out.bags) : Compose(indices);
-  return out;
+  if (!lifted_) {
+    out.cost = Compose(indices);
+    return;
+  }
+  while (eval_bags_.size() > bags.size()) {
+    spare_bags_.push_back(std::move(eval_bags_.back()));
+    eval_bags_.pop_back();
+  }
+  while (eval_bags_.size() < bags.size()) {
+    if (spare_bags_.empty()) {
+      eval_bags_.emplace_back();
+    } else {
+      eval_bags_.push_back(std::move(spare_bags_.back()));
+      spare_bags_.pop_back();
+    }
+  }
+  for (size_t id = 0; id < bags.size(); ++id) {
+    VertexSet& bag = eval_bags_[id];
+    bag.Reset(n);
+    for (int at = bags[id].begin; at < bags[id].end; ++at) {
+      bag.Insert(members[at]);
+    }
+  }
+  out.cost = cost_.Evaluate(g_, eval_bags_);
 }
 
-std::optional<TieredResult> TieredEnumerator::Next() {
-  if (queue_.empty()) return std::nullopt;
+const GluedTree* TieredEnumerator::NextGlued() {
+  if (queue_.empty()) return nullptr;
   QueueEntry top = queue_.top();
   queue_.pop();
 
@@ -445,7 +521,14 @@ std::optional<TieredResult> TieredEnumerator::Next() {
     CostValue cost = Compose(next_indices);
     queue_.push({cost, std::move(next_indices), c});
   }
-  return TieredResult{Assemble(top.indices), tier_};
+  Assemble(top.indices);
+  return &glued_;
+}
+
+std::optional<TieredResult> TieredEnumerator::Next() {
+  const GluedTree* t = NextGlued();
+  if (t == nullptr) return std::nullopt;
+  return TieredResult{t->ToTriangulation(g_), t->tier};
 }
 
 }  // namespace mintri

@@ -6,10 +6,12 @@
 #include <optional>
 #include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cost/bag_cost.h"
 #include "enumeration/ranked_enum.h"
+#include "enumeration/tree_decomposition.h"
 #include "preprocess/preprocess.h"
 
 namespace mintri {
@@ -59,6 +61,40 @@ struct TierOptions {
 /// No fields; kept because callers still pass `{}` as the fifth argument.
 struct SolverOptions {};
 
+/// One result of the tiered pipeline in compact form, in g's labels: the
+/// glued clique tree of a minimal triangulation H of g. Bag i is
+/// members[bags[i].begin, bags[i].end), sorted ascending; parent[i] is the
+/// index of its parent bag, -1 for a root (one root per connected component
+/// of g). The bags are exactly the maximal cliques of H, so this is a
+/// proper tree decomposition (Proposition 6.1), and H itself is the
+/// saturation of the bags; ToTriangulation builds it.
+///
+/// `fill` = |E(H)| - |E(g)| is the sum of the units' fill counts. Proof: H
+/// is g plus the saturated unit bags plus the lift bags N[v]. Each N(v) is a
+/// clique of g (v was simplicial in an induced subgraph of g), so the lift
+/// bags add no edge. A fill edge {x, y} of a unit lies in the unit's vertex
+/// set, and two units meet only inside a clique of g: components are
+/// disjoint, and two atoms of a clique-minimal-separator decomposition
+/// intersect inside one of its clique separators. So no pair is a fill edge
+/// of two units, and the units' fill edge sets are disjoint.
+struct GluedTree {
+  std::vector<int> members;
+  std::vector<BagRange> bags;
+  std::vector<int> parent;
+  CostValue cost = 0;
+  long long fill = 0;
+  SolveTier tier = SolveTier::kExact;
+
+  int Width() const;
+  /// The tree edges (parent[i], i) in increasing i, as WritePaceTd takes
+  /// them.
+  std::vector<std::pair<int, int>> Edges() const;
+  /// The dense form: the bags as n-bit sets, `filled` = g plus the
+  /// saturated bags, the sorted distinct non-empty adhesions, and `cost`.
+  Triangulation ToTriangulation(const Graph& g) const;
+};
+
+/// The dense view of one result (TieredEnumerator::Next).
 struct TieredResult {
   Triangulation triangulation;
   SolveTier tier;
@@ -81,10 +117,11 @@ struct TieredResult {
 /// et al., "Optimal Algorithms for Ranked Enumeration of Answers to Full
 /// Conjunctive Queries", PVLDB 2020).
 ///
-/// Each popped tuple is glued into one result: the atoms' clique trees are
+/// Each popped tuple is glued into one GluedTree: the atoms' clique trees are
 /// linked on the clique separators Tier 0 split on, and the eliminated
 /// simplicial vertices' bags are hung back on, so no whole-graph clique tree
-/// is rebuilt per result.
+/// is rebuilt per result, and no n-bit set is built unless the cost has to
+/// be re-evaluated or a caller asks for the dense Triangulation.
 ///
 /// Mode::kExact is this product over the connected components alone.
 /// Mode::kAuto with no reduction/decomposition/fallback emits the same
@@ -99,7 +136,7 @@ class TieredEnumerator {
                    const TierOptions& tier_options = {});
 
   /// Only false in Mode::kExact when a component's build hit its limits
-  /// (Next() then always returns std::nullopt); the auto/heuristic modes
+  /// (NextGlued() and Next() then return nothing); the auto/heuristic modes
   /// always have Tier 2 to fall back on.
   bool init_ok() const { return init_ok_; }
 
@@ -135,9 +172,15 @@ class TieredEnumerator {
   /// Wall clock spent building heuristic restricted-family contexts.
   double tier2_seconds() const { return tier2_seconds_; }
 
-  /// The next-cheapest minimal triangulation (original vertex ids) with its
-  /// tier label. Heuristic streams are non-decreasing in κ within the
-  /// restricted family; exact/atom-exact streams are complete.
+  /// The next-cheapest minimal triangulation (original vertex ids) as its
+  /// glued clique tree, or nullptr at the end of the stream. The tree is
+  /// owned by the enumerator and valid until the next call. Heuristic
+  /// streams are non-decreasing in κ within the restricted family;
+  /// exact/atom-exact streams are complete.
+  const GluedTree* NextGlued();
+
+  /// NextGlued's result in dense form (GluedTree::ToTriangulation) with its
+  /// tier label.
   std::optional<TieredResult> Next();
 
  private:
@@ -148,7 +191,10 @@ class TieredEnumerator {
     std::unique_ptr<BagCost> restricted_cost;
     std::unique_ptr<TriangulationContext> context;
     std::unique_ptr<RankedTriangulationEnumerator> enumerator;
-    std::vector<Triangulation> produced;  // memoized ranked prefix
+    int num_edges = 0;  // of the unit subgraph
+    /// The memoized ranked prefix, relabeled to g's labels, with each
+    /// result's fill count.
+    std::vector<GluedTree> produced;
     bool exhausted = false;
     SolveTier tier = SolveTier::kExact;
   };
@@ -161,12 +207,13 @@ class TieredEnumerator {
   long long SumOverUnits(
       long long (RankedTriangulationEnumerator::*stat)() const) const;
   CostValue Compose(const std::vector<size_t>& indices) const;
-  /// The result for one index tuple, in g's labels: the units' clique trees
-  /// relabeled, linked across the atom tree, with the lift bags hung on in
-  /// reverse elimination order. Linear in the total bag size; nothing is
-  /// rebuilt from the filled graph. A forest with one tree per connected
-  /// component of g.
-  Triangulation Assemble(const std::vector<size_t>& indices);
+  /// Glues the result for one index tuple into glued_: the units' clique
+  /// trees side by side, linked across the atom tree, with the lift bags
+  /// hung on in reverse elimination order. Linear in the total bag size
+  /// over int ranges; nothing is rebuilt from the filled graph. The cost is
+  /// the composed unit costs, or, once Tier 0 rewrote the graph, Evaluate on
+  /// eval_bags_, whose n-bit sets are reset rather than reallocated.
+  void Assemble(const std::vector<size_t>& indices);
 
   const Graph& g_;
   const BagCost& cost_;
@@ -186,6 +233,7 @@ class TieredEnumerator {
   struct Lift {
     int vertex;
     std::vector<int> neighbors;  // N(v) at elimination time, sorted
+    std::vector<int> bag;        // N[v], sorted
   };
   /// An atom-tree link (Preprocess's AtomLink) between two units, oriented
   /// so that every parent unit is linked before it is anyone's child.
@@ -197,8 +245,13 @@ class TieredEnumerator {
   std::vector<Lift> lifts_;  // in elimination order
   std::vector<Link> links_;
   std::vector<Unit> units_;
-  /// Assemble's scratch: holders_[v] lists the bags that contain v.
+  /// Assemble's output and scratch: holders_[v] lists the bags that contain
+  /// v; eval_bags_ holds the dense bags the cost is evaluated on, and
+  /// spare_bags_ keeps the sets a smaller result did not need.
+  GluedTree glued_;
   std::vector<std::vector<int>> holders_;
+  std::vector<VertexSet> eval_bags_;
+  std::vector<VertexSet> spare_bags_;
 
   struct QueueEntry {
     CostValue cost;

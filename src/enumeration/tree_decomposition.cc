@@ -1,7 +1,9 @@
 #include "enumeration/tree_decomposition.h"
 
 #include <algorithm>
+#include <charconv>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "chordal/clique_tree.h"
@@ -100,34 +102,64 @@ bool TreeDecomposition::IsProperFor(const Graph& g) const {
   return sorted_bags == cliques;
 }
 
-void WritePaceTd(const TreeDecomposition& td, int num_graph_vertices,
-                 std::ostream& out) {
-  out << "s td " << td.bags.size() << " " << td.Width() + 1 << " "
-      << num_graph_vertices << "\n";
-  for (size_t i = 0; i < td.bags.size(); ++i) {
-    out << "b " << i + 1;
-    td.bags[i].ForEach([&](int v) { out << " " << v + 1; });
-    out << "\n";
+void WritePaceTd(const std::vector<int>& members,
+                 const std::vector<BagRange>& bags,
+                 const std::vector<std::pair<int, int>>& edges,
+                 int num_graph_vertices, std::ostream& out) {
+  std::string buf;
+  char digits[16];
+  auto put = [&](long long value, char sep) {
+    char* end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
+    buf.append(digits, end);
+    buf.push_back(sep);
+  };
+  const int k = static_cast<int>(bags.size());
+  int max_bag = 0;
+  for (const BagRange& bag : bags) max_bag = std::max(max_bag, bag.size());
+  buf.append("s td ");
+  put(k, ' ');
+  put(max_bag, ' ');
+  put(num_graph_vertices, '\n');
+  for (int i = 0; i < k; ++i) {
+    buf.append("b ");
+    put(i + 1, bags[i].size() == 0 ? '\n' : ' ');
+    for (int at = bags[i].begin; at < bags[i].end; ++at) {
+      put(members[at] + 1, at + 1 == bags[i].end ? '\n' : ' ');
+    }
   }
   // A .td is one tree: join every further tree of a forest (a disconnected
   // graph) to the first bag by an empty-adhesion edge, so b bags always
   // come with b - 1 edges.
-  const int k = static_cast<int>(td.bags.size());
   std::vector<int> tree_of(k);
   for (int i = 0; i < k; ++i) tree_of[i] = i;
   auto find = [&](int x) {
     while (tree_of[x] != x) x = tree_of[x] = tree_of[tree_of[x]];
     return x;
   };
-  for (const auto& [a, b] : td.edges) {
-    out << a + 1 << " " << b + 1 << "\n";
+  for (const auto& [a, b] : edges) {
+    put(a + 1, ' ');
+    put(b + 1, '\n');
     tree_of[find(a)] = find(b);
   }
   for (int i = 1; i < k; ++i) {
     if (find(i) == find(0)) continue;
-    out << 1 << " " << i + 1 << "\n";
+    put(1, ' ');
+    put(i + 1, '\n');
     tree_of[find(i)] = find(0);
   }
+  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+}
+
+void WritePaceTd(const TreeDecomposition& td, int num_graph_vertices,
+                 std::ostream& out) {
+  std::vector<int> members;
+  std::vector<BagRange> bags;
+  for (const VertexSet& bag : td.bags) {
+    const int begin = static_cast<int>(members.size());
+    bag.ForEach([&](int v) { members.push_back(v); });
+    bags.push_back({begin, static_cast<int>(members.size())});
+  }
+  WritePaceTd(members, bags, td.edges, num_graph_vertices, out);
 }
 
 TreeDecomposition CliqueTreeOf(Triangulation t) {

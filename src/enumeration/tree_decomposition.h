@@ -35,11 +35,28 @@ struct TreeDecomposition {
 /// moved rather than copied.
 TreeDecomposition CliqueTreeOf(Triangulation t);
 
-/// Writes the decomposition in the PACE ".td" exchange format:
+/// Bag i of a tree decomposition in compact form: the members
+/// [begin, end) of one flat vertex array, sorted ascending.
+struct BagRange {
+  int begin = 0;
+  int end = 0;
+  int size() const { return end - begin; }
+};
+
+/// Writes a tree decomposition in the PACE ".td" exchange format:
 ///   s td <#bags> <max-bag-size> <n>
 ///   b <bag-id> <v...>        (1-based ids)
 ///   <i> <j>                  (tree edges, 1-based bag ids)
-/// A forest is written as one tree: each further tree is joined to bag 1.
+/// Bag i is members[bags[i].begin, bags[i].end); edges are 0-based bag
+/// pairs, written in order. A forest is written as one tree: each further
+/// tree is joined to bag 1. The block is formatted into one buffer and
+/// written with a single out.write.
+void WritePaceTd(const std::vector<int>& members,
+                 const std::vector<BagRange>& bags,
+                 const std::vector<std::pair<int, int>>& edges,
+                 int num_graph_vertices, std::ostream& out);
+
+/// The same writer over a TreeDecomposition's dense bags.
 void WritePaceTd(const TreeDecomposition& td, int num_graph_vertices,
                  std::ostream& out);
 

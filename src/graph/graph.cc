@@ -36,12 +36,14 @@ void Graph::NeighborhoodOfSetInto(const VertexSet& s, VertexSet* out) const {
 }
 
 void Graph::SaturateSet(const VertexSet& u) {
-  std::vector<int> vs = u.ToVector();
-  for (size_t i = 0; i < vs.size(); ++i) {
-    for (size_t j = i + 1; j < vs.size(); ++j) {
-      AddEdge(vs[i], vs[j]);
-    }
-  }
+  // Each pair once: the inner walk stops at the outer vertex.
+  u.ForEach([&](int a) {
+    u.ForEachWhile([&](int b) {
+      if (b == a) return false;
+      AddEdge(a, b);
+      return true;
+    });
+  });
 }
 
 bool Graph::IsClique(const VertexSet& u) const {

@@ -8,8 +8,12 @@
 
 namespace mintri {
 
-/// A minimal triangulation H of a graph G together with a clique tree of H.
-/// This is the answer type of MinTriang, RankedTriang and the CKK baseline.
+/// A minimal triangulation H of a graph G together with a clique tree of H,
+/// in dense form: n-bit bags and the whole filled graph. This is the answer
+/// type of MinTriang, RankedTriang and the CKK baseline. The tiered
+/// pipeline keeps each result as a compact GluedTree
+/// (enumeration/tiered_enum.h) and builds this form only on request
+/// (TieredEnumerator::Next).
 ///
 /// Invariants (checked by the test suite):
 ///  - `filled` is a minimal triangulation of the original graph;

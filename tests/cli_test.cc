@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace mintri {
@@ -73,6 +75,43 @@ TEST(CliTest, TdOutputIsOneTreeOnDisconnectedInputs) {
     EXPECT_EQ(i.code, 0) << i.err;
     EXPECT_NE(i.out.find("s td 3 1 3\n"), std::string::npos) << i.out;
     EXPECT_EQ(TdEdgeLines(i.out), 2) << tier << "\n" << i.out;
+  }
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  EXPECT_TRUE(file.good()) << "cannot read " << path;
+  std::ostringstream text;
+  text << file.rdbuf();
+  return text.str();
+}
+
+// `mintri rank` output pinned byte for byte: tests/data/golden/
+// <input>.<cost>.<format> holds `rank --cost=<cost> --format=<format>
+// --top=30 <input>.gr`. The inputs cover an atom chain with pendants (glued
+// atoms and lift bags), a disconnected graph (one tree per component, joined
+// in the .td), a chordal graph (every vertex reduced away, no unit left) and
+// 10000 isolated vertices.
+TEST(CliTest, RankOutputMatchesGoldenFiles) {
+  const std::string data = MINTRI_TEST_DATA_DIR;
+  const std::vector<std::pair<std::string, std::vector<std::string>>> cases =
+      {{"atom_chain", {"width", "fill"}},
+       {"disconnected", {"width", "fill"}},
+       {"chordal", {"width", "fill"}},
+       {"edgeless_10000", {"width"}}};
+  for (const auto& [input, costs] : cases) {
+    for (const std::string& cost : costs) {
+      for (const std::string format : {"td", "summary"}) {
+        const std::string name = input + "." + cost + "." + format;
+        CliResult r = Invoke({"rank", "--cost=" + cost, "--format=" + format,
+                              "--top=30", data + "/" + input + ".gr"},
+                             "");
+        EXPECT_EQ(r.code, 0) << name << ": " << r.err;
+        EXPECT_TRUE(r.out == ReadFile(data + "/golden/" + name))
+            << name << " differs from its golden file; got:\n"
+            << r.out.substr(0, 2000);
+      }
+    }
   }
 }
 

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -525,6 +527,85 @@ TEST(TieredEnumTest, GluedResultsEqualTheRebuildOnAForest) {
   ExpectGluedStream(g, width, CostComposition::kMax, 2, "forest");
   FillInCost fill;
   ExpectGluedStream(g, fill, CostComposition::kSum, 2, "forest");
+}
+
+// Two random connected graphs glued on a cut vertex, with pendants and a
+// pendant triangle: Tier 0 both eliminates vertices and splits atoms.
+Graph SeededLiftedGraph(uint64_t seed) {
+  const Graph a = workloads::ConnectedErdosRenyi(7, 0.4, seed);
+  const Graph b = workloads::ConnectedErdosRenyi(6, 0.45, seed + 100);
+  const int core = a.NumVertices() + b.NumVertices() - 1;
+  Graph g(core + core / 2 + 2);
+  for (const auto& [u, v] : a.Edges()) g.AddEdge(u, v);
+  // b's vertex 0 is a's vertex 0; b's others follow a's.
+  auto in_b = [&](int v) { return v == 0 ? 0 : a.NumVertices() + v - 1; };
+  for (const auto& [u, v] : b.Edges()) g.AddEdge(in_b(u), in_b(v));
+  int next = core;
+  for (int v = 1; v < core; v += 2) g.AddEdge(v, next++);
+  g.AddEdge(2, next);
+  g.AddEdge(2, next + 1);
+  g.AddEdge(next, next + 1);
+  return g;
+}
+
+// NextGlued and Next in lockstep on two enumerators: the glued tree is the
+// dense result's clique tree, with the same cost, width, fill count and bag
+// count, the same .td text, and the dense result is a proper tree
+// decomposition of a minimal triangulation.
+void ExpectGluedMatchesDense(const Graph& g, const BagCost& cost,
+                             CostComposition composition,
+                             const TierOptions& tier, size_t limit,
+                             const std::string& label) {
+  TieredEnumerator glued(g, cost, composition, {}, {}, tier);
+  TieredEnumerator dense(g, cost, composition, {}, {}, tier);
+  size_t count = 0;
+  for (; count < limit; ++count) {
+    const std::string at = label + " #" + std::to_string(count);
+    const GluedTree* t = glued.NextGlued();
+    std::optional<TieredResult> r = dense.Next();
+    ASSERT_EQ(t != nullptr, r.has_value()) << at;
+    if (t == nullptr) break;
+    const Triangulation& d = r->triangulation;
+    EXPECT_EQ(t->tier, r->tier) << at;
+    EXPECT_EQ(t->cost, d.cost) << at;
+    EXPECT_EQ(t->Width(), d.Width()) << at;
+    EXPECT_EQ(t->fill, d.FillIn(g)) << at;
+    ASSERT_EQ(t->bags.size(), d.bags.size()) << at;
+    EXPECT_EQ(t->parent, d.parent) << at;
+    for (size_t i = 0; i < d.bags.size(); ++i) {
+      const std::vector<int> members(t->members.begin() + t->bags[i].begin,
+                                     t->members.begin() + t->bags[i].end);
+      EXPECT_EQ(members, d.bags[i].ToVector()) << at << " bag " << i;
+    }
+    std::ostringstream glued_td, dense_td;
+    WritePaceTd(t->members, t->bags, t->Edges(), g.NumVertices(), glued_td);
+    WritePaceTd(CliqueTreeOf(d), g.NumVertices(), dense_td);
+    EXPECT_EQ(glued_td.str(), dense_td.str()) << at;
+    EXPECT_TRUE(CliqueTreeOf(d).IsProperFor(g)) << at;
+    EXPECT_TRUE(IsMinimalTriangulation(g, d.filled)) << at;
+  }
+  EXPECT_GE(count, 1u) << label;
+}
+
+TEST(TieredEnumTest, GluedTreeMatchesTheDenseResult) {
+  std::vector<Graph> corpus = DifferentialCorpus();
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    corpus.push_back(SeededLiftedGraph(seed));
+  }
+  corpus.push_back(GridAtomChain(3));
+  WidthCost width;
+  FillInCost fill;
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    for (const bool exact : {false, true}) {
+      const TierOptions tier = exact ? ExactTier() : AutoOptions(true);
+      const std::string label = "graph " + std::to_string(i) +
+                                (exact ? " exact " : " auto ");
+      ExpectGluedMatchesDense(corpus[i], width, CostComposition::kMax, tier,
+                              300, label + "width");
+      ExpectGluedMatchesDense(corpus[i], fill, CostComposition::kSum, tier,
+                              300, label + "fill");
+    }
+  }
 }
 
 // Trivial graphs far too large for a whole-graph rebuild per result: one
