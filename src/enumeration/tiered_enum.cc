@@ -8,6 +8,7 @@
 
 #include "chordal/clique_tree.h"
 #include "chordal/lb_triang.h"
+#include "cost/standard_costs.h"
 #include "util/timer.h"
 
 namespace mintri {
@@ -76,7 +77,14 @@ TieredEnumerator::TieredEnumerator(const Graph& g, const BagCost& cost,
                                    const ContextOptions& options,
                                    const SolverOptions&,
                                    const TierOptions& tier_options)
-    : g_(g), cost_(cost), composition_(composition) {
+    : g_(g),
+      cost_(cost),
+      composition_(composition),
+      glued_cost_(dynamic_cast<const WidthCost*>(&cost) != nullptr
+                      ? GluedCost::kWidth
+                  : dynamic_cast<const FillInCost*>(&cost) != nullptr
+                      ? GluedCost::kFill
+                      : GluedCost::kEvaluate) {
   // Exact mode: the units are the connected components, and only the
   // per-stage ContextOptions limits apply (no shared budget to clip to).
   const bool exact = tier_options.mode == TierOptions::Mode::kExact;
@@ -481,6 +489,21 @@ void TieredEnumerator::Assemble(const std::vector<size_t>& indices) {
   // graph the emitted cost is re-evaluated on the final bags.
   if (!lifted_) {
     out.cost = Compose(indices);
+    return;
+  }
+  // Width and fill are read off the glued tree, which gives the numbers
+  // Evaluate would compute from the same bags. The bags are the maximal
+  // cliques of H, so the largest one is H's width, and a lifted graph has a
+  // vertex, so some bag is non-empty and the width is at least 0, as
+  // WidthCost::Evaluate's is. `fill` is |E(H)| - |E(g)| (proof at
+  // GluedTree), the count FillInCost::Evaluate takes by saturating the bags
+  // in a copy of g.
+  if (glued_cost_ == GluedCost::kWidth) {
+    out.cost = out.Width();
+    return;
+  }
+  if (glued_cost_ == GluedCost::kFill) {
+    out.cost = static_cast<CostValue>(out.fill);
     return;
   }
   while (eval_bags_.size() > bags.size()) {

@@ -211,13 +211,18 @@ class TieredEnumerator {
   /// trees side by side, linked across the atom tree, with the lift bags
   /// hung on in reverse elimination order. Linear in the total bag size
   /// over int ranges; nothing is rebuilt from the filled graph. The cost is
-  /// the composed unit costs, or, once Tier 0 rewrote the graph, Evaluate on
-  /// eval_bags_, whose n-bit sets are reset rather than reallocated.
+  /// the composed unit costs, or, once Tier 0 rewrote the graph, the glued
+  /// width or fill count under width and fill, and Evaluate on eval_bags_
+  /// (n-bit sets, reset rather than reallocated) under other costs.
   void Assemble(const std::vector<size_t>& indices);
 
   const Graph& g_;
   const BagCost& cost_;
   CostComposition composition_;
+  /// How Assemble costs a lifted result: width and fill straight from the
+  /// glued tree, any other cost by Evaluate on eval_bags_.
+  enum class GluedCost { kWidth, kFill, kEvaluate };
+  GluedCost glued_cost_;
   bool init_ok_ = true;
   /// True once Tier 0 changed the unit structure (eliminated a vertex or
   /// split a component); results then carry the cost evaluated on their
@@ -246,8 +251,9 @@ class TieredEnumerator {
   std::vector<Link> links_;
   std::vector<Unit> units_;
   /// Assemble's output and scratch: holders_[v] lists the bags that contain
-  /// v; eval_bags_ holds the dense bags the cost is evaluated on, and
-  /// spare_bags_ keeps the sets a smaller result did not need.
+  /// v; eval_bags_ holds the dense bags a cost other than width or fill is
+  /// evaluated on, and spare_bags_ keeps the sets a smaller result did not
+  /// need.
   GluedTree glued_;
   std::vector<std::vector<int>> holders_;
   std::vector<VertexSet> eval_bags_;

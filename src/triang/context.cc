@@ -169,19 +169,51 @@ void TriangulationContext::BuildBlocksAndWiring(TriangulationContext* ctx,
     }
   }
 
-  // Deterministic merge, ascending by PMC then by associated separator.
-  ctx->root_candidates_.clear();
-  ctx->root_children_.clear();
-  for (size_t pi = 0; pi < wiring.size(); ++pi) {
-    PmcWiring& w = wiring[pi];
+  // Deterministic CSR merge: each node's candidates in ascending PMC order,
+  // blocks first, the root last. One pass counts the candidates per node and
+  // the children per candidate, a second copies the children and frees each
+  // PMC's scratch wiring.
+  const int root = ctx->root_node();
+  std::vector<int>& cand_begin = ctx->candidate_begin_;
+  cand_begin.assign(static_cast<size_t>(root) + 2, 0);
+  for (const PmcWiring& w : wiring) {
     if (!w.usable) continue;
-    ctx->root_candidates_.push_back(static_cast<int>(pi));
-    ctx->root_children_.push_back(std::move(w.assoc_ids));
-    for (auto& [host, kids] : w.hosts) {
-      BlockEntry& block = ctx->blocks_[host];
-      block.candidate_pmcs.push_back(static_cast<int>(pi));
-      block.children.push_back(std::move(kids));
+    ++cand_begin[root + 1];
+    for (const auto& host : w.hosts) ++cand_begin[host.first + 1];
+  }
+  for (int node = 0; node <= root; ++node) {
+    cand_begin[node + 1] += cand_begin[node];
+  }
+  const int num_cands = cand_begin[root + 1];
+  ctx->candidate_pmc_.assign(num_cands, -1);
+  ctx->child_begin_.assign(static_cast<size_t>(num_cands) + 1, 0);
+  std::vector<int> cursor(cand_begin.begin(), cand_begin.end() - 1);
+  for (size_t pi = 0; pi < wiring.size(); ++pi) {
+    const PmcWiring& w = wiring[pi];
+    if (!w.usable) continue;
+    const int at_root = cursor[root]++;
+    ctx->candidate_pmc_[at_root] = static_cast<int>(pi);
+    ctx->child_begin_[at_root + 1] = static_cast<int>(w.assoc_ids.size());
+    for (const auto& [host, kids] : w.hosts) {
+      const int id = cursor[host]++;
+      ctx->candidate_pmc_[id] = static_cast<int>(pi);
+      ctx->child_begin_[id + 1] = static_cast<int>(kids.size());
     }
+  }
+  for (int id = 0; id < num_cands; ++id) {
+    ctx->child_begin_[id + 1] += ctx->child_begin_[id];
+  }
+  ctx->children_.resize(ctx->child_begin_[num_cands]);
+  std::copy(cand_begin.begin(), cand_begin.end() - 1, cursor.begin());
+  const auto place = [&](int id, const std::vector<int>& kids) {
+    std::copy(kids.begin(), kids.end(),
+              ctx->children_.begin() + ctx->child_begin_[id]);
+  };
+  for (PmcWiring& w : wiring) {
+    if (!w.usable) continue;
+    place(cursor[root]++, w.assoc_ids);
+    for (const auto& [host, kids] : w.hosts) place(cursor[host]++, kids);
+    w = PmcWiring();
   }
   bi->wiring_seconds = stage_timer.Seconds();
 }

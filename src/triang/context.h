@@ -117,18 +117,36 @@ struct ContextBuildInfo {
 /// candidate PMCs of each full block and the child blocks of every
 /// (block, Ω) pair. RankedTriang shares one context across all of its
 /// MinTriang invocations, exactly as described in Section 7.1.
+///
+/// The DP wiring is stored flat, in CSR form. Node b < blocks().size() is
+/// block b and node root_node() = blocks().size() is the root pseudo-block
+/// (S = ∅, S ∪ C = V). Each (node, Ω) pair has one global candidate id:
+/// node b's candidates are the ids [CandidateBegin(b), CandidateEnd(b)), in
+/// ascending PMC order, blocks in blocks() order and the root last. For a
+/// candidate id c:
+///  - CandidatePmc(c) is Ω as an index into pmcs(); for a block (S, C),
+///    S ⊂ Ω ⊆ S ∪ C; the root's candidates are all usable PMCs;
+///  - Children(c) lists the block ids of the blocks of Ω inside the
+///    realization R(S, C), each a full block of G (Thm 5.4); at the root,
+///    the blocks associated to Ω in G.
+/// Three int arrays (candidate → PMC, candidate → child offset, children)
+/// and the node offsets hold all of it, so a solver indexes its own
+/// per-candidate tables by the same ids and keeps no copy of the wiring.
 class TriangulationContext {
  public:
-  /// A full block (S, C) plus its DP wiring.
+  /// A full block (S, C).
   struct BlockEntry {
     VertexSet separator;  // S
     VertexSet component;  // C
     VertexSet vertices;   // S ∪ C
-    /// PMCs Ω with S ⊂ Ω ⊆ S ∪ C, as indices into pmcs.
-    std::vector<int> candidate_pmcs;
-    /// children[k] lists the block ids of the blocks of candidate_pmcs[k]
-    /// inside the realization R(S, C); each is a full block of G (Thm 5.4).
-    std::vector<std::vector<int>> children;
+  };
+
+  /// A read-only run of ids in one of the context's flat arrays.
+  struct IdRange {
+    const int* first;
+    const int* last;
+    const int* begin() const { return first; }
+    const int* end() const { return last; }
   };
 
   /// Builds the context. Returns std::nullopt when a limit was hit (the
@@ -156,11 +174,15 @@ class TriangulationContext {
   const std::vector<VertexSet>& minimal_separators() const { return minseps_; }
   const std::vector<VertexSet>& pmcs() const { return pmcs_; }
   const std::vector<BlockEntry>& blocks() const { return blocks_; }
-  /// Root candidates: all PMCs; root_children()[k] are the block ids of the
-  /// blocks associated to pmcs()[root_candidates()[k]] in G.
-  const std::vector<int>& root_candidates() const { return root_candidates_; }
-  const std::vector<std::vector<int>>& root_children() const {
-    return root_children_;
+  /// The DP wiring (see the class comment).
+  int root_node() const { return static_cast<int>(blocks_.size()); }
+  int num_candidates() const { return static_cast<int>(candidate_pmc_.size()); }
+  int CandidateBegin(int node) const { return candidate_begin_[node]; }
+  int CandidateEnd(int node) const { return candidate_begin_[node + 1]; }
+  int CandidatePmc(int cand) const { return candidate_pmc_[cand]; }
+  IdRange Children(int cand) const {
+    return {children_.data() + child_begin_[cand],
+            children_.data() + child_begin_[cand + 1]};
   }
   int width_bound() const { return width_bound_; }
   double init_seconds() const { return build_info_.total_seconds; }
@@ -189,8 +211,12 @@ class TriangulationContext {
   std::vector<VertexSet> minseps_;
   std::vector<VertexSet> pmcs_;
   std::vector<BlockEntry> blocks_;  // sorted by |S ∪ C| ascending
-  std::vector<int> root_candidates_;
-  std::vector<std::vector<int>> root_children_;
+  // The CSR wiring: candidate_begin_ has one entry per node plus a sentinel,
+  // child_begin_ one per candidate plus a sentinel.
+  std::vector<int> candidate_begin_;
+  std::vector<int> candidate_pmc_;
+  std::vector<int> child_begin_;
+  std::vector<int> children_;
   // Arena-index tables: entry i of each table is minseps_[i] /
   // blocks_[i].component, so Find doubles as the id lookup.
   VertexSetTable separator_index_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 
 #include "cost/constrained_cost.h"
 
@@ -20,6 +21,42 @@ void SetDiffInto(const std::vector<int>& a, const std::vector<int>& b,
 
 }  // namespace
 
+SeparatorGeometry ConstraintGeometry(const TriangulationContext& ctx,
+                                     int sep_id) {
+  const VertexSet& s = ctx.minimal_separators()[sep_id];
+  const std::vector<VertexSet>& pmcs = ctx.pmcs();
+  const std::vector<TriangulationContext::BlockEntry>& blocks = ctx.blocks();
+  std::vector<uint8_t> in_pmc(pmcs.size());
+  for (size_t i = 0; i < pmcs.size(); ++i) in_pmc[i] = s.IsSubsetOf(pmcs[i]);
+  std::vector<uint8_t> in_block(blocks.size());
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    in_block[b] = s.IsSubsetOf(blocks[b].vertices);
+  }
+  SeparatorGeometry geo;
+  const int root = ctx.root_node();
+  for (int node = 0; node <= root; ++node) {
+    if (node != root && !in_block[node]) continue;  // S ⊆ V at the root
+    for (int id = ctx.CandidateBegin(node); id < ctx.CandidateEnd(node);
+         ++id) {
+      if (in_pmc[ctx.CandidatePmc(id)]) {
+        geo.exclusion.push_back(id);
+        continue;
+      }
+      bool inside_child = false;
+      for (int cid : ctx.Children(id)) {
+        if (in_block[cid]) {
+          inside_child = true;
+          break;
+        }
+      }
+      if (!inside_child) geo.inclusion.push_back(id);
+    }
+  }
+  geo.exclusion.shrink_to_fit();
+  geo.inclusion.shrink_to_fit();
+  return geo;
+}
+
 MinTriangSolver::MinTriangSolver(const TriangulationContext& ctx,
                                  const BagCost& cost)
     : ctx_(ctx),
@@ -27,106 +64,75 @@ MinTriangSolver::MinTriangSolver(const TriangulationContext& ctx,
       empty_separator_(ctx.graph().NumVertices()),
       all_vertices_(ctx.graph().Vertices()) {
   const int num_nodes = Root() + 1;
-  cand_values_.resize(num_nodes);
-  cand_dirty_.resize(num_nodes);
-  cand_blocked_.resize(num_nodes);
+  const size_t num_cands = static_cast<size_t>(ctx.num_candidates());
+  cand_values_.assign(num_cands, kInfiniteCost);
+  cand_blocked_.assign(num_cands, 0);
+  dirty_.assign((num_cands + 63) / 64, 0);
   cand_trees_.resize(num_nodes);
-  dirty_list_.resize(num_nodes);
-  for (int node = 0; node < num_nodes; ++node) {
-    const size_t k = Candidates(node).size();
-    cand_values_[node].assign(k, kInfiniteCost);
-    cand_dirty_[node].assign(k, 0);
-    cand_blocked_[node].assign(k, 0);
-    num_candidates_total_ += k;
-  }
   value_.assign(num_nodes, kInfiniteCost);
   choice_.assign(num_nodes, -1);
-  node_forced_.assign(num_nodes, 0);
 }
 
 void MinTriangSolver::BuildHosts() {
-  hosts_built_ = true;
   // Candidate-granular reverse edges: when block b's value changes, the
-  // repair dirties exactly the (host, k) candidates that combine over b —
-  // a point update each — instead of rescanning every candidate of every
-  // host.
-  host_cands_.resize(ctx_.blocks().size());
-  const int num_nodes = Root() + 1;
-  for (int node = 0; node < num_nodes; ++node) {
-    const std::vector<std::vector<int>>& children = Children(node);
-    for (size_t k = 0; k < children.size(); ++k) {
-      for (int cid : children[k]) {
-        host_cands_[cid].push_back({node, static_cast<int>(k)});
-      }
-    }
+  // repair dirties exactly the candidates that combine over b — a point
+  // update each — instead of rescanning every candidate of every host.
+  const int num_blocks = static_cast<int>(ctx_.blocks().size());
+  const int num_cands = ctx_.num_candidates();
+  host_begin_.assign(static_cast<size_t>(num_blocks) + 1, 0);
+  for (int id = 0; id < num_cands; ++id) {
+    for (int cid : ctx_.Children(id)) ++host_begin_[cid + 1];
+  }
+  for (int b = 0; b < num_blocks; ++b) host_begin_[b + 1] += host_begin_[b];
+  host_cands_.resize(host_begin_[num_blocks]);
+  std::vector<int> cursor(host_begin_.begin(), host_begin_.end() - 1);
+  for (int id = 0; id < num_cands; ++id) {
+    for (int cid : ctx_.Children(id)) host_cands_[cursor[cid]++] = id;
   }
 }
 
-const MinTriangSolver::SepGeometry& MinTriangSolver::GeometryFor(int sep_id) {
+const SeparatorGeometry& MinTriangSolver::GeometryFor(int sep_id) {
   auto it = sep_geometry_.find(sep_id);
   if (it != sep_geometry_.end()) return it->second;
-  // One scan over every candidate, done once per separator ever used in a
-  // constraint; afterwards every delta for this separator walks the exact
-  // affected lists with no subset tests at all.
-  SepGeometry geo;
-  const VertexSet& s = ctx_.minimal_separators()[sep_id];
-  const int root = Root();
-  for (int node = 0; node <= root; ++node) {
-    if (!s.IsSubsetOf(NodeVertices(node))) continue;
-    const std::vector<int>& cands = Candidates(node);
-    const std::vector<std::vector<int>>& children = Children(node);
-    for (size_t k = 0; k < cands.size(); ++k) {
-      if (s.IsSubsetOf(ctx_.pmcs()[cands[k]])) {
-        // Exclusion geometry: the κ[I,X] exclusion test reads S here.
-        geo.exclusion.push_back({node, static_cast<int>(k)});
-      } else {
-        // Inclusion geometry: S fits the block but is neither inside Ω nor
-        // inside a child block — the only place the inclusion test flips.
-        bool inside_child = false;
-        for (int cid : children[k]) {
-          if (s.IsSubsetOf(ctx_.blocks()[cid].vertices)) {
-            inside_child = true;
-            break;
-          }
-        }
-        if (!inside_child) {
-          geo.inclusion.push_back({node, static_cast<int>(k)});
-        }
-      }
-    }
-  }
-  geo.exclusion.shrink_to_fit();
-  geo.inclusion.shrink_to_fit();
-  return sep_geometry_.emplace(sep_id, std::move(geo)).first->second;
+  // Computed once per separator ever used in a constraint; afterwards every
+  // delta for this separator walks the exact affected lists with no subset
+  // tests at all.
+  return sep_geometry_.emplace(sep_id, ConstraintGeometry(ctx_, sep_id))
+      .first->second;
 }
 
-CostValue MinTriangSolver::EvalCandidate(int node, size_t k) {
+CostValue MinTriangSolver::EvalCandidate(int node, int cand) {
   ++num_candidate_evals_;
   child_blocks_buf_.clear();
   child_costs_buf_.clear();
-  for (int cid : Children(node)[k]) {
+  for (int cid : ctx_.Children(cand)) {
     CostValue v = value_[cid];
     if (std::isinf(v)) return kInfiniteCost;
     child_blocks_buf_.push_back(&ctx_.blocks()[cid].vertices);
     child_costs_buf_.push_back(v);
   }
   CombineContext cc{ctx_.graph(),
-                    ctx_.pmcs()[Candidates(node)[k]],
+                    ctx_.pmcs()[ctx_.CandidatePmc(cand)],
                     NodeSeparator(node),
                     NodeVertices(node),
                     child_blocks_buf_,
                     child_costs_buf_};
-  // Both callers skip candidates with blocked[k] > 0, which is exactly
-  // the set CombineViolatesConstraints rejects; checked in debug builds.
+  // Both callers skip candidates with blocked > 0, which is exactly the
+  // set CombineViolatesConstraints rejects; checked in debug builds.
   assert(!CombineViolatesConstraints(cc, include_sets_, exclude_sets_));
   ++num_combine_calls_;
   return cost_.Combine(cc);
 }
 
-void MinTriangSolver::MarkDirty(int node, int k) {
-  if (cand_dirty_[node][k] == epoch_) return;
-  cand_dirty_[node][k] = epoch_;
-  dirty_list_[node].push_back(k);
+int MinTriangSolver::NextDirty(int from, int end) const {
+  if (from >= end) return end;
+  size_t word = static_cast<size_t>(from) >> 6;
+  uint64_t bits = dirty_[word] & (~uint64_t{0} << (from & 63));
+  while (bits == 0) {
+    if (static_cast<int>(++word << 6) >= end) return end;
+    bits = dirty_[word];
+  }
+  return std::min(end, static_cast<int>(word << 6) + __builtin_ctzll(bits));
 }
 
 bool MinTriangSolver::PollDeadline() {
@@ -141,18 +147,16 @@ void MinTriangSolver::ApplyConstraintDelta(
     const std::vector<int>& removed_exc, const std::vector<int>& removed_inc,
     bool full) {
   // Additions can only push candidate values to ∞: a newly-blocked finite
-  // candidate drops to ∞ with no evaluation, an already-∞ one stays put.
-  // blocked[k] — how many current constraints candidate k violates — stays
-  // exact under adds/removes because each (separator, candidate) geometry
-  // is static, and blocked[k] > 0 ⟺ CombineViolatesConstraints there.
-  const auto add = [&](const std::vector<std::pair<int, int>>& affected) {
-    for (const auto& [node, k] : affected) {
-      if (++cand_blocked_[node][k] == 1 && !full &&
-          !std::isinf(cand_values_[node][k])) {
-        cand_values_[node][k] = kInfiniteCost;
-        cand_trees_[node].Update(k, kInfiniteCost);
-        ++num_index_updates_;
-        node_forced_[node] = epoch_;
+  // candidate is marked so that the repair re-picks its block, with no
+  // evaluation; an already-∞ one stays put. blocked — how many current
+  // constraints a candidate violates — stays exact under adds/removes
+  // because each (separator, candidate) geometry is static, and
+  // blocked > 0 ⟺ CombineViolatesConstraints there.
+  const auto add = [&](const std::vector<int>& affected) {
+    for (int id : affected) {
+      if (++cand_blocked_[id] == 1 && !full &&
+          !std::isinf(cand_values_[id])) {
+        MarkDirty(id);
       }
     }
   };
@@ -160,9 +164,9 @@ void MinTriangSolver::ApplyConstraintDelta(
   // constraint goes away; until then no evaluation is needed. (On a full
   // pass only the counters need maintaining — everything is re-evaluated
   // anyway, so nothing is marked.)
-  const auto remove = [&](const std::vector<std::pair<int, int>>& affected) {
-    for (const auto& [node, k] : affected) {
-      if (--cand_blocked_[node][k] == 0 && !full) MarkDirty(node, k);
+  const auto remove = [&](const std::vector<int>& affected) {
+    for (int id : affected) {
+      if (--cand_blocked_[id] == 0 && !full) MarkDirty(id);
     }
   };
   for (int id : added_exc) add(GeometryFor(id).exclusion);
@@ -171,56 +175,89 @@ void MinTriangSolver::ApplyConstraintDelta(
   for (int id : removed_inc) remove(GeometryFor(id).inclusion);
 }
 
+void MinTriangSolver::RepickNode(int node, bool full) {
+  // A range-min query. The tree's first-minimum tie-break is the full DP's
+  // "first strict improvement wins", so ties resolve to the smallest
+  // candidate id. A blocked leaf may still hold the finite value it had
+  // before its blocker came: it counts as ∞, so when it tops the tree it
+  // is set to ∞ and the tree is asked again.
+  const int begin = ctx_.CandidateBegin(node);
+  RangeMinTree& tree = cand_trees_[node];
+  ++num_range_queries_;
+  int min_k;
+  while (true) {
+    min_k = tree.MinIndex();
+    if (min_k < 0) break;
+    const int id = begin + min_k;
+    if (cand_blocked_[id] == 0 || std::isinf(cand_values_[id])) break;
+    cand_values_[id] = kInfiniteCost;
+    tree.Update(min_k, kInfiniteCost);
+    ++num_index_updates_;
+  }
+  const bool feasible =
+      min_k >= 0 && !std::isinf(cand_values_[begin + min_k]);
+  const CostValue best = feasible ? cand_values_[begin + min_k] : kInfiniteCost;
+  choice_[node] = feasible ? begin + min_k : -1;
+  if (best == value_[node]) return;
+  value_[node] = best;
+  if (full || node == Root()) return;
+  // A blocked host holds ∞ whatever this value is, and the removal of its
+  // last blocker marks it dirty, so the cascade skips it.
+  for (int at = host_begin_[node]; at < host_begin_[node + 1]; ++at) {
+    const int host = host_cands_[at];
+    if (cand_blocked_[host] == 0) MarkDirty(host);
+  }
+}
+
 void MinTriangSolver::Repair(bool full) {
   const int root = Root();
-  // Blocks are sorted ascending by |S ∪ C| and every child is strictly
-  // smaller than its host, so one forward pass (root last) processes a
-  // child before any (host, k) candidate it appears under: MarkDirty from
-  // the cascade only ever targets nodes still ahead of the sweep.
-  for (int node = 0; node <= root; ++node) {
+  // Blocks are sorted ascending by |S ∪ C|, every child is strictly
+  // smaller than its host, and candidate ids ascend with the node, so one
+  // forward pass (root last) processes a child before any candidate it
+  // appears under: the cascade only ever marks ids still ahead of the
+  // sweep.
+  if (full) {
+    std::fill(dirty_.begin(), dirty_.end(), 0);
+    for (int node = 0; node <= root; ++node) {
+      if (PollDeadline()) return;
+      const int begin = ctx_.CandidateBegin(node);
+      const int end = ctx_.CandidateEnd(node);
+      if (begin == end) continue;
+      for (int id = begin; id < end; ++id) {
+        cand_values_[id] =
+            cand_blocked_[id] > 0 ? kInfiniteCost : EvalCandidate(node, id);
+        if (PollDeadline()) return;
+      }
+      cand_trees_[node].Assign(cand_values_.data() + begin, end - begin);
+      RepickNode(node, full);
+    }
+    return;
+  }
+  // Only the nodes holding a dirty candidate, found by scanning the bitset
+  // in id order; each dirty candidate is one point update at most.
+  const int num_cands = ctx_.num_candidates();
+  int node = 0;
+  for (int id = NextDirty(0, num_cands); id < num_cands;) {
     if (PollDeadline()) return;
-    const bool seeded = !dirty_list_[node].empty();
-    const bool forced = node_forced_[node] == epoch_;
-    if (!full && !seeded && !forced) continue;
-    if (full) dirty_list_[node].clear();  // drop marks a truncated solve left
-
-    const std::vector<int>& cands = Candidates(node);
-    if (cands.empty()) continue;
-    std::vector<CostValue>& values = cand_values_[node];
-    std::vector<uint32_t>& blocked = cand_blocked_[node];
-
-    if (full) {
-      for (size_t k = 0; k < cands.size(); ++k) {
-        values[k] = blocked[k] > 0 ? kInfiniteCost : EvalCandidate(node, k);
-        if (PollDeadline()) return;
-      }
-      cand_trees_[node].Assign(values);
-    } else {
-      // Only the candidates a constraint delta revived or a changed child
-      // dirtied — each one an O(log n) point update; no list scan.
-      for (int k : dirty_list_[node]) {
-        values[k] = blocked[k] > 0 ? kInfiniteCost : EvalCandidate(node, k);
-        cand_trees_[node].Update(k, values[k]);
+    // The node whose candidate range holds id (nodes only move forward).
+    while (ctx_.CandidateEnd(node) <= id) ++node;
+    const int begin = ctx_.CandidateBegin(node);
+    const int end = ctx_.CandidateEnd(node);
+    for (; id < end; id = NextDirty(id + 1, end)) {
+      dirty_[static_cast<size_t>(id) >> 6] &= ~(uint64_t{1} << (id & 63));
+      // A blocked candidate keeps its leaf: RepickNode sets it to ∞ only if
+      // it tops the tree.
+      if (cand_blocked_[id] > 0) continue;
+      const CostValue v = EvalCandidate(node, id);
+      if (v != cand_values_[id]) {
+        cand_values_[id] = v;
+        cand_trees_[node].Update(id - begin, v);
         ++num_index_updates_;
-        if (PollDeadline()) return;
       }
-      dirty_list_[node].clear();
+      if (PollDeadline()) return;
     }
-
-    // Re-pick the node optimum with one range-min query. The tree's
-    // first-minimum tie-break is the full DP's "first strict improvement
-    // wins", so ties resolve to the smallest k.
-    ++num_range_queries_;
-    const int min_k = cand_trees_[node].MinIndex();
-    const bool feasible = min_k >= 0 && !std::isinf(values[min_k]);
-    const CostValue best = feasible ? values[min_k] : kInfiniteCost;
-    choice_[node] = feasible ? min_k : -1;
-    if (best != value_[node]) {
-      value_[node] = best;
-      if (!full && node != root) {
-        for (const auto& [host, hk] : host_cands_[node]) MarkDirty(host, hk);
-      }
-    }
+    RepickNode(node, full);
+    id = NextDirty(end, num_cands);
   }
 }
 
@@ -265,15 +302,14 @@ std::optional<Triangulation> MinTriangSolver::Solve(
   if (full || any_delta) {
     // The reverse DP edges are only needed once repairs start cascading, so
     // the one-shot MinTriang wrapper (a single full pass) never builds them.
-    if (!full && !hosts_built_) BuildHosts();
-    ++epoch_;
+    if (!full && host_begin_.empty()) BuildHosts();
     ApplyConstraintDelta(exc_added, inc_added, exc_removed, inc_removed, full);
     Repair(full);
     if (truncated_) {
       // The sweep stopped midway: value_/choice_ may mix old and new
-      // epochs. The blocked counters and cached candidate values are still
-      // exact for the *committed* constraint state, so forcing the next
-      // Solve through a full pass restores every table.
+      // solves. The blocked counters are still exact for the *committed*
+      // constraint state, so forcing the next Solve through a full pass
+      // restores every table.
       solved_once_ = false;
       return std::nullopt;
     }
@@ -292,23 +328,22 @@ Triangulation MinTriangSolver::Reconstruct() {
 
   std::vector<ReconstructFrame>& stack = reconstruct_stack_;
   stack.clear();
-  const int root_k = choice_[Root()];
-  t.bags.push_back(ctx_.pmcs()[ctx_.root_candidates()[root_k]]);
+  const int root_cand = choice_[Root()];
+  t.bags.push_back(ctx_.pmcs()[ctx_.CandidatePmc(root_cand)]);
   t.parent.push_back(-1);
-  for (int cid : ctx_.root_children()[root_k]) stack.push_back({cid, 0});
+  for (int cid : ctx_.Children(root_cand)) stack.push_back({cid, 0});
   std::vector<VertexSet>& seps = reconstruct_seps_;
   seps.clear();
   while (!stack.empty()) {
     ReconstructFrame f = stack.back();
     stack.pop_back();
-    const TriangulationContext::BlockEntry& block = blocks[f.block_id];
-    int k = choice_[f.block_id];
-    assert(k >= 0);
+    const int cand = choice_[f.block_id];
+    assert(cand >= 0);
     int bag_index = static_cast<int>(t.bags.size());
-    t.bags.push_back(ctx_.pmcs()[block.candidate_pmcs[k]]);
+    t.bags.push_back(ctx_.pmcs()[ctx_.CandidatePmc(cand)]);
     t.parent.push_back(f.parent_bag);
-    seps.push_back(block.separator);
-    for (int cid : block.children[k]) stack.push_back({cid, bag_index});
+    seps.push_back(blocks[f.block_id].separator);
+    for (int cid : ctx_.Children(cand)) stack.push_back({cid, bag_index});
   }
   // Distinct adhesions, in the canonical (VertexSet <) order the previous
   // std::set-based reconstruction produced — without the per-node churn.

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "cost/bag_cost.h"
@@ -14,6 +13,24 @@
 #include "util/timer.h"
 
 namespace mintri {
+
+/// The candidates a constraint over minimal separator S can affect, as
+/// candidate ids of the context's wiring, ascending. `exclusion` lists the
+/// candidates with S ⊆ Ω, the only ones whose exclusion test reads S;
+/// `inclusion` lists those where S fits the block (S ⊆ S∪C) but lies
+/// neither inside Ω nor inside a child block, the only ones whose inclusion
+/// test can flip.
+struct SeparatorGeometry {
+  std::vector<int> exclusion;
+  std::vector<int> inclusion;
+};
+
+/// The geometry of minimal separator `sep_id` of `ctx`. It marks S ⊆ Ω for
+/// every PMC and S ⊆ S∪C for every block, |Π| + |blocks| subset tests in
+/// all, then walks only the candidates of the blocks (and the root) that
+/// contain S, reading those marks.
+SeparatorGeometry ConstraintGeometry(const TriangulationContext& ctx,
+                                     int sep_id);
 
 /// The stateful MinTriang⟨κ[I,X]⟩ engine behind MinTriang and RankedTriang:
 /// the block DP of Figure 3 with its per-block candidate/value/choice tables
@@ -31,11 +48,40 @@ namespace mintri {
 ///    (S ⊆ S∪C) but neither inside Ω nor inside a child block — the only
 ///    geometry where the inclusion test can flip;
 ///  - direction matters: an *added* constraint can only push values to ∞,
-///    so affected finite candidates are set to ∞ without evaluation and ∞
-///    candidates are left untouched; a *removed* constraint can only revive
-///    currently-∞ candidates, so finite ones keep their cached value;
+///    so it blocks the affected candidates without evaluating them; a
+///    *removed* constraint can only revive blocked candidates, so
+///    unblocked ones keep their cached value;
 ///  - a block whose DP value changed re-dirties exactly the (host, Ω)
 ///    candidates it appears under, cascading up the ascending block order.
+///
+/// Three skip rules keep a repair from touching what cannot change. A
+/// blocked candidate (blocked count > 0) counts as ∞ however its leaf reads:
+///
+///  - the cascade skips blocked host candidates. Proof: a blocked
+///    candidate is ∞ whatever its children's values are, and removing its
+///    last blocker marks it dirty, so it is then re-evaluated on the
+///    children's values of that solve;
+///  - a re-evaluated candidate whose value did not change leaves its
+///    range-min leaf alone. Proof: the leaf already holds that value, so the
+///    tree, and with it the block optimum, is the same either way;
+///  - a newly blocked candidate keeps its (finite) leaf until it is the
+///    tree's first minimum; only then is the leaf set to ∞ and the tree
+///    asked again. Proof: a first minimum that is unblocked or ∞ stays the
+///    first minimum when every blocked leaf reads ∞, because raising leaves
+///    other than the first minimum cannot move it; that is the candidate
+///    the full DP picks.
+///
+/// Layout. The solver reads the context's flat CSR wiring (one global id
+/// per (block, Ω) candidate, the root's last; see TriangulationContext) and
+/// keeps no copy of it. Its per-candidate tables are flat arrays indexed by
+/// that id: values, blocked counts, a dirty bitset, the reverse (child →
+/// host candidate) edges in CSR form, and the cached constraint geometry.
+/// A repair visits only the blocks that hold a dirty candidate, in id
+/// order, which is the ascending block order the cascade needs. The
+/// geometry cache holds two id lists per separator ever constrained, 4
+/// bytes per listed candidate: on a relabeled 6×6 grid's first 101
+/// results, 33 separators and 2.23M ids (8.9 MB), on a 5×5 grid's first
+/// 1000, 75 separators and 375k ids (1.5 MB).
 ///
 /// Each block's candidate values live in the leaves of a range-min segment
 /// tree (util/range_min_tree.h): a constraint delta or child change touches
@@ -108,20 +154,14 @@ class MinTriangSolver {
   long long num_range_queries() const { return num_range_queries_; }
 
   /// Number of (block, Ω) candidates in the DP (root included).
-  size_t num_candidates_total() const { return num_candidates_total_; }
+  size_t num_candidates_total() const {
+    return static_cast<size_t>(ctx_.num_candidates());
+  }
 
  private:
-  // Node ids: 0..B-1 are the context's blocks (ascending order), B is the
-  // root pseudo-block (S = ∅, S∪C = V, candidates = all usable PMCs).
-  int Root() const { return static_cast<int>(ctx_.blocks().size()); }
-  const std::vector<int>& Candidates(int node) const {
-    return node == Root() ? ctx_.root_candidates()
-                          : ctx_.blocks()[node].candidate_pmcs;
-  }
-  const std::vector<std::vector<int>>& Children(int node) const {
-    return node == Root() ? ctx_.root_children()
-                          : ctx_.blocks()[node].children;
-  }
+  // Node ids are the context's: 0..B-1 are its blocks (ascending order), B
+  // is the root pseudo-block (S = ∅, S∪C = V, candidates = all usable PMCs).
+  int Root() const { return ctx_.root_node(); }
   const VertexSet& NodeSeparator(int node) const {
     return node == Root() ? empty_separator_
                           : ctx_.blocks()[node].separator;
@@ -130,28 +170,24 @@ class MinTriangSolver {
     return node == Root() ? all_vertices_ : ctx_.blocks()[node].vertices;
   }
 
-  // The candidates a constraint over separator sep_id can affect, split by
-  // role: `exclusion` lists (node, k) with S ⊆ Ω; `inclusion` lists
-  // (node, k) where S fits the block but is neither inside Ω nor inside a
-  // child block. Static per context, computed on first use and cached, so
+  // ConstraintGeometry(ctx_, sep_id), computed on first use and cached, so
   // constraint deltas walk exact lists instead of scanning the tables.
-  struct SepGeometry {
-    std::vector<std::pair<int, int>> exclusion;
-    std::vector<std::pair<int, int>> inclusion;
-  };
-  const SepGeometry& GeometryFor(int sep_id);
+  const SeparatorGeometry& GeometryFor(int sep_id);
 
-  // Updates blocked counts for the epoch's constraint delta, forcing
-  // newly-blocked finite candidates to ∞ and marking candidates whose last
-  // blocker went away dirty for re-evaluation.
+  // Updates blocked counts for the solve's constraint delta, marking dirty
+  // the newly-blocked finite candidates (so their block is re-picked) and
+  // the candidates whose last blocker went away (so they are re-evaluated).
   void ApplyConstraintDelta(const std::vector<int>& added_exc,
                             const std::vector<int>& added_inc,
                             const std::vector<int>& removed_exc,
                             const std::vector<int>& removed_inc, bool full);
 
-  // Stamps (node, k) dirty for this epoch (idempotent) and appends it to
-  // the node's pending re-evaluation list.
-  void MarkDirty(int node, int k);
+  // Marks candidate `cand` for re-evaluation in this solve (idempotent).
+  void MarkDirty(int cand) {
+    dirty_[static_cast<size_t>(cand) >> 6] |= uint64_t{1} << (cand & 63);
+  }
+  // The first dirty candidate id in [from, end), or end.
+  int NextDirty(int from, int end) const;
 
   // Deadline poll (rate-limited to one clock read per 64 ticks). Returns
   // true — and latches truncated_ — once the budget is gone.
@@ -160,10 +196,15 @@ class MinTriangSolver {
   // The table-repair forward pass (root last): re-evaluates the dirty
   // candidates and re-picks each touched block's optimum.
   void Repair(bool full);
+  // Re-picks node's optimum from its range-min tree, first setting any
+  // blocked leaf that tops it to ∞; on an incremental pass a changed value
+  // dirties the unblocked candidates hosting the node.
+  void RepickNode(int node, bool full);
 
-  // Evaluates candidate k of `node` (∞ when a child is infeasible). The
-  // caller has already skipped candidates that violate [I,X] at this bag.
-  CostValue EvalCandidate(int node, size_t k);
+  // Evaluates candidate `cand` of `node` (∞ when a child is infeasible).
+  // The caller has already skipped candidates that violate [I,X] at this
+  // bag.
+  CostValue EvalCandidate(int node, int cand);
 
   // Builds the Triangulation from the solved tables (Appendix A: one bag
   // per block, rooted at Ω(G)).
@@ -174,22 +215,28 @@ class MinTriangSolver {
   VertexSet empty_separator_;
   VertexSet all_vertices_;
 
-  // Builds host_cands_, deferred to the first incremental solve (a
+  // Builds the host CSR, deferred to the first incremental solve (a
   // one-shot full pass never needs the reverse edges).
   void BuildHosts();
 
-  // DP tables, persisted across Solve calls.
-  std::vector<std::vector<CostValue>> cand_values_;  // per node, per cand
+  // DP tables, persisted across Solve calls. Per candidate id: its value
+  // (for a blocked candidate, ∞ or the value it had when it was blocked)
+  // and how many current constraints it violates (blocked, exact under
+  // add/remove deltas because the per-(S, candidate) geometry is static;
+  // > 0 is equivalent to CombineViolatesConstraints). Per node: its value
+  // and chosen candidate id (-1 when infeasible).
+  std::vector<CostValue> cand_values_;
+  std::vector<uint32_t> cand_blocked_;
   std::vector<CostValue> value_;
   std::vector<int> choice_;
-  // Per-node range-min tree over cand_values_ (built by the first full
-  // pass, point-updated by repairs).
+  // Per-node range-min tree over the node's slice of cand_values_ (built by
+  // the first full pass, point-updated by repairs).
   std::vector<RangeMinTree> cand_trees_;
-  // host_cands_[b]: the exact (host node, candidate k) pairs with block b
-  // among candidate k's children — the candidate-granular reverse edges the
-  // repair dirties directly (no per-candidate child scan).
-  std::vector<std::vector<std::pair<int, int>>> host_cands_;
-  bool hosts_built_ = false;
+  // Reverse edges in CSR form: host_cands_[host_begin_[b] ..
+  // host_begin_[b + 1]) are the candidate ids with block b among their
+  // children, the ones the repair dirties when b's value changes.
+  std::vector<int> host_begin_;
+  std::vector<int> host_cands_;
 
   // Current constraint state (sorted ids + materialized vertex sets).
   std::vector<int> include_ids_;
@@ -198,22 +245,15 @@ class MinTriangSolver {
   std::vector<VertexSet> exclude_sets_;
   bool solved_once_ = false;
 
-  // blocked[k]: how many current constraints candidate k violates —
-  // exact under add/remove deltas because the per-(S, candidate) geometry
-  // is static; > 0 is equivalent to CombineViolatesConstraints.
-  std::vector<std::vector<uint32_t>> cand_blocked_;
-  // Lazily-built geometry cache, one entry per separator ever constrained
-  // (memory is bounded by the separators the enumeration actually touches).
-  std::unordered_map<int, SepGeometry> sep_geometry_;
+  // Geometry cache, one entry per separator ever constrained: two int
+  // lists of candidate ids, so at most 4 bytes per affected candidate and
+  // separator the enumeration actually touches.
+  std::unordered_map<int, SeparatorGeometry> sep_geometry_;
 
-  // Epoch-stamped dirtiness (a stamp equal to epoch_ means "this solve").
-  uint32_t epoch_ = 0;
-  std::vector<std::vector<uint32_t>> cand_dirty_;  // per node, per cand
-  // Pending re-evaluations per node. Only repairs fill them, and a pass
-  // empties each node it visits (a full pass also drops what a truncated
-  // repair left), so during a repair non-empty means "seeded this solve".
-  std::vector<std::vector<int>> dirty_list_;
-  std::vector<uint32_t> node_forced_;  // some candidate was forced to ∞
+  // One bit per candidate id: pending re-evaluation. Only repairs set
+  // bits, a repair clears each bit it visits, and a full pass clears them
+  // all (dropping what a truncated repair left).
+  std::vector<uint64_t> dirty_;
 
   const Deadline* deadline_ = nullptr;
   bool truncated_ = false;
@@ -239,7 +279,6 @@ class MinTriangSolver {
   long long num_combine_calls_ = 0;
   long long num_index_updates_ = 0;
   long long num_range_queries_ = 0;
-  size_t num_candidates_total_ = 0;
 };
 
 }  // namespace mintri

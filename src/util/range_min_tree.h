@@ -21,18 +21,19 @@ namespace mintri {
 /// the padding, an all-infinite tree still reports leaf 0 (callers treat an
 /// infinite minimum as "no feasible candidate", same as the scan).
 ///
-/// Assign is O(n); Update is O(log n); MinIndex() over the whole range reads
-/// the root in O(1); the general MinIndex(begin, end) is O(log n).
+/// Assign is O(n); Update is O(log n), and stops early once the argmin
+/// above the leaf settles; MinIndex() over the whole range reads the root
+/// in O(1); the general MinIndex(begin, end) is O(log n).
 class RangeMinTree {
  public:
   RangeMinTree() = default;
   explicit RangeMinTree(const std::vector<CostValue>& values) {
-    Assign(values);
+    Assign(values.data(), static_cast<int>(values.size()));
   }
 
-  /// Rebuilds the tree over `values` (O(n)).
-  void Assign(const std::vector<CostValue>& values) {
-    n_ = static_cast<int>(values.size());
+  /// Rebuilds the tree over the n values at `values` (O(n)).
+  void Assign(const CostValue* values, int n) {
+    n_ = n;
     size_ = 1;
     while (size_ < n_) size_ <<= 1;
     values_.assign(static_cast<size_t>(size_), kInfiniteCost);
@@ -44,11 +45,16 @@ class RangeMinTree {
     }
   }
 
-  /// Sets leaf `k` to `v` and re-merges its root path (O(log n)).
+  /// Sets leaf `k` to `v` and re-merges its root path (O(log n)). The walk
+  /// stops at the first node whose argmin stays the same leaf other than
+  /// k: that leaf's value did not change, so every ancestor would compare
+  /// the same values as before.
   void Update(int k, CostValue v) {
     values_[k] = v;
     for (int node = (size_ + k) / 2; node >= 1; node /= 2) {
-      best_[node] = Merge(best_[2 * node], best_[2 * node + 1]);
+      const int best = Merge(best_[2 * node], best_[2 * node + 1]);
+      if (best == best_[node] && best != k) return;
+      best_[node] = best;
     }
   }
 

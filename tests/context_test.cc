@@ -12,6 +12,26 @@
 namespace mintri {
 namespace {
 
+// The candidate PMCs of one wiring node, in candidate order.
+std::vector<int> CandidatePmcs(const TriangulationContext& ctx, int node) {
+  std::vector<int> out;
+  for (int id = ctx.CandidateBegin(node); id < ctx.CandidateEnd(node); ++id) {
+    out.push_back(ctx.CandidatePmc(id));
+  }
+  return out;
+}
+
+// The child block lists of one wiring node's candidates, in candidate order.
+std::vector<std::vector<int>> ChildLists(const TriangulationContext& ctx,
+                                         int node) {
+  std::vector<std::vector<int>> out;
+  for (int id = ctx.CandidateBegin(node); id < ctx.CandidateEnd(node); ++id) {
+    const TriangulationContext::IdRange kids = ctx.Children(id);
+    out.emplace_back(kids.begin(), kids.end());
+  }
+  return out;
+}
+
 TEST(ContextTest, PaperExampleCounts) {
   Graph g = testutil::PaperExampleGraph();
   auto ctx = TriangulationContext::Build(g);
@@ -20,7 +40,7 @@ TEST(ContextTest, PaperExampleCounts) {
   EXPECT_EQ(ctx->pmcs().size(), 6u);
   // Full blocks: S1 has 2, S2 has 3, S3 has 2 -> 7.
   EXPECT_EQ(ctx->blocks().size(), 7u);
-  EXPECT_EQ(ctx->root_candidates().size(), 6u);
+  EXPECT_EQ(CandidatePmcs(*ctx, ctx->root_node()).size(), 6u);
   EXPECT_GT(ctx->init_seconds(), 0.0);
 }
 
@@ -39,16 +59,15 @@ TEST(ContextTest, ChildrenAreStrictlySmallerBlocks) {
     Graph g = workloads::ConnectedErdosRenyi(9, 0.3, 8000 + seed);
     auto ctx = TriangulationContext::Build(g);
     ASSERT_TRUE(ctx.has_value());
-    for (size_t i = 0; i < ctx->blocks().size(); ++i) {
+    for (int i = 0; i < ctx->root_node(); ++i) {
       const auto& block = ctx->blocks()[i];
-      ASSERT_EQ(block.candidate_pmcs.size(), block.children.size());
-      for (size_t k = 0; k < block.candidate_pmcs.size(); ++k) {
-        const VertexSet& omega = ctx->pmcs()[block.candidate_pmcs[k]];
+      for (int id = ctx->CandidateBegin(i); id < ctx->CandidateEnd(i); ++id) {
+        const VertexSet& omega = ctx->pmcs()[ctx->CandidatePmc(id)];
         // S ⊂ Ω ⊆ S ∪ C.
         EXPECT_TRUE(block.separator.IsSubsetOf(omega));
         EXPECT_NE(block.separator, omega);
         EXPECT_TRUE(omega.IsSubsetOf(block.vertices));
-        for (int cid : block.children[k]) {
+        for (int cid : ctx->Children(id)) {
           const auto& child = ctx->blocks()[cid];
           EXPECT_LT(child.vertices.Count(), block.vertices.Count());
           EXPECT_TRUE(child.vertices.IsSubsetOf(block.vertices));
@@ -67,8 +86,9 @@ TEST(ContextTest, EveryBlockHasACandidate) {
     Graph g = workloads::ConnectedErdosRenyi(10, 0.25, 9000 + seed);
     auto ctx = TriangulationContext::Build(g);
     ASSERT_TRUE(ctx.has_value());
-    for (const auto& block : ctx->blocks()) {
-      EXPECT_FALSE(block.candidate_pmcs.empty())
+    for (int i = 0; i < ctx->root_node(); ++i) {
+      const auto& block = ctx->blocks()[i];
+      EXPECT_LT(ctx->CandidateBegin(i), ctx->CandidateEnd(i))
           << "block " << block.vertices.ToString() << " separator "
           << block.separator.ToString();
     }
@@ -146,17 +166,20 @@ TEST(ContextTest, ParallelBuildIsIdentical) {
     ASSERT_TRUE(serial.has_value() && parallel.has_value());
     EXPECT_EQ(serial->minimal_separators(), parallel->minimal_separators());
     EXPECT_EQ(serial->pmcs(), parallel->pmcs());
-    EXPECT_EQ(serial->root_candidates(), parallel->root_candidates());
-    EXPECT_EQ(serial->root_children(), parallel->root_children());
     ASSERT_EQ(serial->blocks().size(), parallel->blocks().size());
+    const int root = serial->root_node();
+    EXPECT_EQ(CandidatePmcs(*serial, root), CandidatePmcs(*parallel, root));
+    EXPECT_EQ(ChildLists(*serial, root), ChildLists(*parallel, root));
     for (size_t i = 0; i < serial->blocks().size(); ++i) {
       const auto& a = serial->blocks()[i];
       const auto& b = parallel->blocks()[i];
       EXPECT_EQ(a.separator, b.separator) << "graph " << gi << " block " << i;
       EXPECT_EQ(a.component, b.component);
       EXPECT_EQ(a.vertices, b.vertices);
-      EXPECT_EQ(a.candidate_pmcs, b.candidate_pmcs);
-      EXPECT_EQ(a.children, b.children);
+      EXPECT_EQ(CandidatePmcs(*serial, static_cast<int>(i)),
+                CandidatePmcs(*parallel, static_cast<int>(i)));
+      EXPECT_EQ(ChildLists(*serial, static_cast<int>(i)),
+                ChildLists(*parallel, static_cast<int>(i)));
     }
     for (size_t i = 0; i < serial->minimal_separators().size(); ++i) {
       EXPECT_EQ(parallel->SeparatorId(serial->minimal_separators()[i]),
@@ -176,12 +199,10 @@ TEST(ContextTest, ParallelBoundedBuildIsIdentical) {
   ASSERT_TRUE(serial.has_value() && parallel.has_value());
   EXPECT_EQ(serial->minimal_separators(), parallel->minimal_separators());
   EXPECT_EQ(serial->pmcs(), parallel->pmcs());
-  EXPECT_EQ(serial->root_candidates(), parallel->root_candidates());
   ASSERT_EQ(serial->blocks().size(), parallel->blocks().size());
-  for (size_t i = 0; i < serial->blocks().size(); ++i) {
-    EXPECT_EQ(serial->blocks()[i].candidate_pmcs,
-              parallel->blocks()[i].candidate_pmcs);
-    EXPECT_EQ(serial->blocks()[i].children, parallel->blocks()[i].children);
+  for (int node = 0; node <= serial->root_node(); ++node) {
+    EXPECT_EQ(CandidatePmcs(*serial, node), CandidatePmcs(*parallel, node));
+    EXPECT_EQ(ChildLists(*serial, node), ChildLists(*parallel, node));
   }
 }
 
@@ -224,11 +245,15 @@ uint64_t Fold(uint64_t h, const std::vector<int>& ids) {
 // An order-sensitive digest of the DP wiring: the root candidates and
 // children, then every block's candidate PMCs and children, by block id.
 uint64_t WiringDigest(const TriangulationContext& ctx) {
-  uint64_t h = Fold(0, ctx.root_candidates());
-  for (const std::vector<int>& kids : ctx.root_children()) h = Fold(h, kids);
-  for (const TriangulationContext::BlockEntry& block : ctx.blocks()) {
-    h = Fold(h, block.candidate_pmcs);
-    for (const std::vector<int>& kids : block.children) h = Fold(h, kids);
+  uint64_t h = Fold(0, CandidatePmcs(ctx, ctx.root_node()));
+  for (const std::vector<int>& kids : ChildLists(ctx, ctx.root_node())) {
+    h = Fold(h, kids);
+  }
+  for (int block = 0; block < ctx.root_node(); ++block) {
+    h = Fold(h, CandidatePmcs(ctx, block));
+    for (const std::vector<int>& kids : ChildLists(ctx, block)) {
+      h = Fold(h, kids);
+    }
   }
   return h;
 }

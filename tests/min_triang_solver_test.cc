@@ -171,6 +171,78 @@ TEST(MinTriangSolverTest, DifferentialOnBoundedWidthContexts) {
   }
 }
 
+// The geometry as a per-candidate scan: one subset test per candidate and
+// per child block, the way the solver computed it before it read marks.
+SeparatorGeometry ScanGeometry(const TriangulationContext& ctx, int sep_id) {
+  SeparatorGeometry geo;
+  const VertexSet& s = ctx.minimal_separators()[sep_id];
+  const VertexSet all = ctx.graph().Vertices();
+  const int root = ctx.root_node();
+  for (int node = 0; node <= root; ++node) {
+    const VertexSet& vertices =
+        node == root ? all : ctx.blocks()[node].vertices;
+    if (!s.IsSubsetOf(vertices)) continue;
+    for (int id = ctx.CandidateBegin(node); id < ctx.CandidateEnd(node);
+         ++id) {
+      if (s.IsSubsetOf(ctx.pmcs()[ctx.CandidatePmc(id)])) {
+        geo.exclusion.push_back(id);
+        continue;
+      }
+      bool inside_child = false;
+      for (int cid : ctx.Children(id)) {
+        if (s.IsSubsetOf(ctx.blocks()[cid].vertices)) {
+          inside_child = true;
+          break;
+        }
+      }
+      if (!inside_child) geo.inclusion.push_back(id);
+    }
+  }
+  return geo;
+}
+
+// Checks every minimal separator of ctx while that stays under ~20M
+// candidate visits per side. The three largest corpus contexts (queen6,
+// segment_0 and segment_1, 42k-143k candidates and 1.1k-4.7k separators)
+// would need ~900M; they are checked on evenly spaced separators, about
+// 20M / |candidates| of them, which keeps the unoptimized sanitizer build
+// inside the test's time limit.
+void ExpectGeometryMatchesScan(const TriangulationContext& ctx,
+                               const std::string& name) {
+  constexpr long long kVisitBudget = 20000000;
+  const int num_seps = static_cast<int>(ctx.minimal_separators().size());
+  const long long cands = std::max(1, ctx.num_candidates());
+  const int stride = static_cast<int>(
+      std::max<long long>(1, num_seps * cands / kVisitBudget));
+  for (int id = 0; id < num_seps; id += stride) {
+    const SeparatorGeometry got = ConstraintGeometry(ctx, id);
+    const SeparatorGeometry want = ScanGeometry(ctx, id);
+    EXPECT_EQ(got.exclusion, want.exclusion) << name << " separator " << id;
+    EXPECT_EQ(got.inclusion, want.inclusion) << name << " separator " << id;
+  }
+}
+
+TEST(MinTriangSolverTest, MaskBuiltGeometryMatchesTheCandidateScan) {
+  // Element for element and in the same order, for the minimal separators
+  // of the family corpus and of the bounded-width contexts (whose partial
+  // wiring drops PMCs and leaves blocks without candidates).
+  ASSERT_FALSE(Corpus().empty());
+  for (const CorpusGraph& cg : Corpus()) {
+    ExpectGeometryMatchesScan(cg.ctx, cg.name);
+  }
+  for (int seed = 0; seed < 6; ++seed) {
+    Graph g = workloads::ConnectedErdosRenyi(12, 0.25, 42000 + seed);
+    for (int bound = 2; bound <= 4; ++bound) {
+      ContextOptions options;
+      options.width_bound = bound;
+      auto ctx = TriangulationContext::Build(g, options);
+      ASSERT_TRUE(ctx.has_value());
+      ExpectGeometryMatchesScan(*ctx, "bounded seed " + std::to_string(seed) +
+                                          " b=" + std::to_string(bound));
+    }
+  }
+}
+
 TEST(MinTriangSolverTest, LawlerMurtySiblingDeltas) {
   // The exact access pattern RankedTriang issues: partitions
   // [I ∪ {S_1..S_{i-1}}, X ∪ {S_i}] over the separators of the optimum.

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "util/rng.h"
@@ -78,6 +79,64 @@ TEST(RangeMinTreeTest, RandomizedAgainstNaiveScan) {
       ASSERT_EQ(tree.MinIndex(begin, end), NaiveMinIndex(values, begin, end))
           << "round " << round << " step " << step << " range [" << begin
           << ", " << end << ")";
+    }
+  }
+}
+
+TEST(RangeMinTreeTest, LongUpdateRunsThatKeepOrMoveTheArgmin) {
+  // Update stops re-merging at the first node whose argmin stays the same
+  // leaf other than the updated one. Long runs that re-store a value, tie
+  // the minimum from either side, raise or kill the argmin, or undercut it
+  // reach every place where that walk can stop; after each update the
+  // whole range and random sub-ranges must still match a naive scan.
+  Rng rng(0xa7a1);
+  for (int round = 0; round < 40; ++round) {
+    const int n = rng.NextInt(1, 70);
+    std::vector<CostValue> values(n);
+    for (CostValue& v : values) {
+      v = rng.NextBool(0.1) ? kInfiniteCost
+                            : static_cast<CostValue>(rng.NextInt(0, 4));
+    }
+    RangeMinTree tree(values);
+    for (int step = 0; step < 300; ++step) {
+      const int arg = NaiveMinIndex(values, 0, n);
+      const CostValue min = values[arg];
+      int k = rng.NextInt(0, n - 1);
+      CostValue v = values[k];  // re-store a leaf's own value
+      switch (rng.NextInt(0, 5)) {
+        case 0:  // re-store the argmin's value
+          k = arg;
+          v = min;
+          break;
+        case 1:  // tie the minimum, left or right of the argmin
+          v = min;
+          break;
+        case 2:  // raise or kill the argmin, so it moves
+          k = arg;
+          v = rng.NextBool(0.3) ? kInfiniteCost : min + rng.NextInt(1, 3);
+          break;
+        case 3:  // undercut the minimum, so the argmin moves to k
+          v = std::isinf(min) ? 0 : min - 1;
+          break;
+        case 4:  // any leaf, any value
+          v = rng.NextBool(0.2) ? kInfiniteCost
+                                : static_cast<CostValue>(rng.NextInt(0, 4));
+          break;
+        default:
+          break;
+      }
+      tree.Update(k, v);
+      values[k] = v;
+      ASSERT_EQ(tree.MinIndex(), NaiveMinIndex(values, 0, n))
+          << "round " << round << " step " << step;
+      for (int probe = 0; probe < 4; ++probe) {
+        const int begin = rng.NextInt(0, n - 1);
+        const int end = rng.NextInt(begin + 1, n);
+        ASSERT_EQ(tree.MinIndex(begin, end),
+                  NaiveMinIndex(values, begin, end))
+            << "round " << round << " step " << step << " range [" << begin
+            << ", " << end << ")";
+      }
     }
   }
 }

@@ -197,11 +197,7 @@ TEST(RankedEnumTest, SolverRepairsAreCheaperThanFullPasses) {
   while (drained < 200 && e.Next().has_value()) ++drained;
   ASSERT_GT(drained, 10);
   ASSERT_GT(e.num_optimizer_calls(), 1);
-  size_t full_pass = 0;
-  for (const auto& block : ctx.blocks()) {
-    full_pass += block.candidate_pmcs.size();
-  }
-  full_pass += ctx.root_candidates().size();
+  const size_t full_pass = static_cast<size_t>(ctx.num_candidates());
   // The breadth measure (touched candidates, mostly cheap constraint
   // short-circuits) must amortize below a full pass; the expensive base
   // Combine calls — where the DP time actually goes — must amortize far
@@ -245,6 +241,39 @@ TEST(RankedEnumTest, PartitionsAreSolvedOnlyWhenTheyReachTheTop) {
   ASSERT_EQ(results.size(), 500u);
   EXPECT_LE(e.num_optimizer_calls(),
             2 * static_cast<long long>(results.size()));
+}
+
+TEST(RankedEnumTest, RepairsSkipUpdatesThatCannotChangeAnything) {
+  // A repair skips point updates that cannot change a block optimum: a
+  // re-evaluation that returns the leaf's value, a cascade into a host
+  // candidate that a constraint pins at ∞, and setting a newly blocked
+  // leaf to ∞ before it tops its tree. None of these changes which
+  // candidates are evaluated. On the first 300 results, the repair that
+  // updated a leaf on every re-evaluation, cascade and new block made
+  // 352,868 point updates under width and 4,291,108 under fill, over
+  // 173,231 and 1,241,096 candidate evaluations (recorded with the solver
+  // before these skips). The evaluations must stay exactly the same, and
+  // the updates must fall to at most 0.6x (81,333 and 1,240,623 now).
+  WidthCost width;
+  FillInCost fill;
+  struct Run {
+    const BagCost& cost;
+    long long evals;
+    long long updates_before;
+  };
+  const Run runs[] = {
+      {width, 173231, 352868},
+      {fill, 1241096, 4291108},
+  };
+  Graph g = workloads::Grid(5, 5);
+  TriangulationContext ctx = BuildCtx(g);
+  for (const Run& run : runs) {
+    RankedTriangulationEnumerator e(ctx, run.cost);
+    const std::string name = run.cost.Name();
+    ASSERT_EQ(Drain(e, 300).size(), 300u) << name;
+    EXPECT_EQ(e.num_candidate_evals(), run.evals) << name;
+    EXPECT_LE(e.num_index_updates(), run.updates_before * 6 / 10) << name;
+  }
 }
 
 TEST(RankedEnumTest, EveryPrefixMatchesTheBruteForceRanking) {
