@@ -8,149 +8,31 @@
 // functions in this header instead of open-coding uint64_t loops at each
 // call site.
 //
-// Layering:
-//
-//   * `scalar::` — the one reference implementation. Plain word loops,
-//     no intrinsics, fully defined behavior. This is the path the
-//     sanitizer builds (ASan/UBSan/TSan) compile and run, and the path
-//     every differential test compares against.
-//   * `avx2::` — an explicit AVX2 path, compiled via the GCC/Clang
-//     `target("avx2")` function attribute so the rest of the translation
-//     unit keeps its baseline ISA. Only present when the compile-time
-//     gate below admits it (x86-64, GCC/Clang, and MINTRI_DISABLE_SIMD
-//     not defined).
-//   * The unprefixed top-level functions dispatch per call: buffers of
-//     at least kSimdMinWords words go to `avx2::` when the CPU supports
-//     AVX2 (checked once, at static-initialization time) and the
-//     MINTRI_FORCE_SCALAR environment variable is not set; everything
-//     else inlines the scalar loop. Small-universe graphs (< 193
-//     vertices fit in 3 words) therefore never pay a dispatch call.
-//
-// Dispatch policy knobs:
-//
-//   * Compile time: -DMINTRI_DISABLE_SIMD (the MINTRI_DISABLE_SIMD CMake
-//     option, forced ON by the sanitizer options) removes the AVX2 path
-//     entirely; -DMINTRI_FORCE_AVX2 builds the whole tree with -mavx2 so
-//     the compiler may also auto-vectorize the scalar path.
-//   * Run time: MINTRI_FORCE_SCALAR=1 in the environment pins dispatch
-//     to the scalar path in an AVX2-capable binary (used by the
-//     differential tests to cover both sides in one process).
-//
-// Alignment: VertexSet stores its words in a WordStorage (below): up to
-// 2 words inline in the object (small-buffer optimization — no heap
-// traffic at all for graphs up to 128 vertices, which only ever run the
-// scalar kernels), heap above, where the allocator returns 64-byte-
-// aligned buffers for any allocation of at least kSimdMinWords words —
-// so every buffer the AVX2 path can actually touch starts on a
-// cache-line boundary, including the separator/PMC arena entries behind
-// VertexSetTable and ShardedVertexSetTable, which hold VertexSets by
-// value. Sub-threshold heap buffers (3 words) deliberately take the
-// default allocator's small-size fast path instead: measured on the
-// bench families, unconditional aligned allocation cost ~3x per
-// alloc/free and showed up as a double-digit throughput loss on the
-// small-universe suites. The kernels themselves use unaligned loads and
-// remain correct on any pointer (the PmcTester cover bitmap pads its
-// row stride with AlignWords once rows are wide enough to dispatch).
+// The kernels are plain word loops: no intrinsics, no dispatch, fully
+// defined behavior, and the same code in every build (sanitizers
+// included). The solve units the pipeline hands them are small — a tiered
+// unit of <= 64 vertices is one word — so the loops are short and the
+// compiler inlines them at each call site.
 //
 // Every kernel takes explicit word counts; none of them reads or writes
-// beyond `n` words. Tail bits above a set's capacity are the caller's
-// contract: VertexSet maintains them as zero (see TailMask), and the
-// differential tests include non-multiple-of-64 capacities to pin that.
+// beyond `n` words, and none needs any alignment beyond uint64_t's. Tail
+// bits above a set's capacity are the caller's contract: VertexSet
+// maintains them as zero (see TailMask), and the kernel tests include
+// non-multiple-of-64 capacities to pin that.
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <new>
-#include <vector>
-
-#if defined(__x86_64__) || defined(_M_X64)
-#define MINTRI_BITSET_X86_64 1
-#else
-#define MINTRI_BITSET_X86_64 0
-#endif
-
-#if MINTRI_BITSET_X86_64 && !defined(MINTRI_DISABLE_SIMD) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define MINTRI_HAVE_AVX2_KERNELS 1
-#include <immintrin.h>
-#else
-#define MINTRI_HAVE_AVX2_KERNELS 0
-#endif
 
 namespace mintri {
 namespace bitset {
 
-/// Minimal C++17 allocator returning `Alignment`-byte-aligned buffers.
-/// Stateless; all instances compare equal.
-///
-/// Alignment is requested only for buffers of at least Alignment/2 bytes
-/// (with the 64-byte WordVector below: >= 4 words, exactly the SIMD
-/// dispatch threshold). Aligned `operator new` bypasses the allocator's
-/// small-size fast path and costs ~3x a plain allocation, which is pure
-/// loss on sub-threshold buffers where only the scalar kernels ever run;
-/// the SIMD kernels themselves use unaligned loads and are correct on any
-/// pointer, so the threshold trades a guaranteed-aligned *wide* buffer
-/// for a cheap *narrow* one.
-template <typename T, size_t Alignment>
-class AlignedAllocator {
- public:
-  using value_type = T;
-
-  AlignedAllocator() = default;
-  template <typename U>
-  AlignedAllocator(const AlignedAllocator<U, Alignment>&) {}
-
-  T* allocate(size_t n) {
-    if (WantsAlignment(n)) {
-      return static_cast<T*>(
-          ::operator new(n * sizeof(T), std::align_val_t(Alignment)));
-    }
-    return static_cast<T*>(::operator new(n * sizeof(T)));
-  }
-  void deallocate(T* p, size_t n) {
-    if (WantsAlignment(n)) {
-      ::operator delete(p, std::align_val_t(Alignment));
-    } else {
-      ::operator delete(p);
-    }
-  }
-
-  static bool WantsAlignment(size_t n) {
-    return n * sizeof(T) >= Alignment / 2;
-  }
-
-  template <typename U>
-  struct rebind {
-    using other = AlignedAllocator<U, Alignment>;
-  };
-
-  friend bool operator==(const AlignedAllocator&, const AlignedAllocator&) {
-    return true;
-  }
-  friend bool operator!=(const AlignedAllocator&, const AlignedAllocator&) {
-    return false;
-  }
-};
-
-/// The word-buffer type behind multi-row bitmaps (the PmcTester cover):
-/// cache-line-aligned from 4 words up (the SIMD dispatch threshold),
-/// default-allocated below it — see AlignedAllocator. Single-set storage
-/// lives in WordStorage below instead, which adds a small-buffer fast path.
-using WordVector = std::vector<uint64_t, AlignedAllocator<uint64_t, 64>>;
-
 /// Small-buffer word storage: the buffer behind VertexSet. Up to
 /// kInlineWords words (128 vertices — which covers every bundled bench
 /// family) live inline in the object, so constructing, copying, moving, or
-/// destroying a small set never touches the allocator; PR 8's A/B runs
-/// measured the small-universe enumeration suites as allocation- and
-/// table-bound, and this is the allocation half of that fix. Wider
-/// universes spill to a heap buffer obtained through AlignedAllocator,
-/// preserving the alignment-from-threshold policy: every spilled buffer of
-/// at least kSimdMinWords words is 64-byte-aligned (exactly the buffers the
-/// AVX2 kernels can dispatch on), while 3-word spills take the default
-/// allocator's small-size fast path. Inline buffers are only 8-byte-aligned,
-/// which is safe: at <= 2 words they are below the dispatch threshold and
-/// only ever run the scalar kernels.
+/// destroying a small set never touches the allocator (A/B runs measured
+/// the small-universe enumeration suites as allocation- and table-bound,
+/// and this is the allocation half of that fix). Wider universes spill to an exact-size buffer from plain operator new.
 ///
 /// Mirrors the std::vector subset VertexSet needs (data/size/operator[]/
 /// assign/resize/lexicographic compare). Like vector::assign, shrinking
@@ -202,7 +84,7 @@ class WordStorage {
   /// VertexSet::PinWordsToHeap for when this is a win.
   void force_heap() {
     if (data_ != inline_) return;
-    uint64_t* fresh = Alloc().allocate(kInlineWords);
+    uint64_t* fresh = Allocate(kInlineWords);
     for (size_t w = 0; w < size_; ++w) fresh[w] = inline_[w];
     data_ = fresh;
     cap_ = kInlineWords;
@@ -236,8 +118,6 @@ class WordStorage {
   }
 
  private:
-  using Alloc = AlignedAllocator<uint64_t, 64>;
-
   void CopyFrom(const WordStorage& other) {
     if (other.size_ > cap_) Reallocate(other.size_, /*preserve_words=*/0);
     for (size_t w = 0; w < other.size_; ++w) data_[w] = other.data_[w];
@@ -265,15 +145,19 @@ class WordStorage {
   // set's word count is pinned by its universe, which almost never changes
   // after construction.
   void Reallocate(size_t n, size_t preserve_words) {
-    uint64_t* fresh = Alloc().allocate(n);
+    uint64_t* fresh = Allocate(n);
     for (size_t w = 0; w < preserve_words; ++w) fresh[w] = data_[w];
     ReleaseHeap();
     data_ = fresh;
     cap_ = static_cast<uint32_t>(n);
   }
 
+  static uint64_t* Allocate(size_t n) {
+    return static_cast<uint64_t*>(::operator new(n * sizeof(uint64_t)));
+  }
+
   void ReleaseHeap() {
-    if (!is_inline()) Alloc().deallocate(data_, cap_);
+    if (!is_inline()) ::operator delete(data_);
   }
 
   uint64_t* data_ = inline_;
@@ -289,17 +173,6 @@ inline uint64_t TailMask(int capacity) {
   const int rem = capacity & 63;
   return rem == 0 ? ~uint64_t{0} : (~uint64_t{0} >> (64 - rem));
 }
-
-/// Rounds a word count up to a whole cache line (8 words), so packed
-/// multi-row bitmaps keep every row 64-byte-aligned.
-inline size_t AlignWords(size_t words) { return (words + 7) & ~size_t{7}; }
-
-// ---------------------------------------------------------------------------
-// Scalar reference implementations. The only path in sanitizer builds;
-// the ground truth for the differential tests.
-// ---------------------------------------------------------------------------
-
-namespace scalar {
 
 inline void UnionInto(uint64_t* dst, const uint64_t* src, size_t n) {
   for (size_t w = 0; w < n; ++w) dst[w] |= src[w];
@@ -397,353 +270,8 @@ inline uint64_t BfsFusedStep(uint64_t* component, uint64_t* frontier,
   return any;
 }
 
-}  // namespace scalar
-
-// ---------------------------------------------------------------------------
-// AVX2 implementations: 4 words (one cache half-line) per vector op, with
-// a scalar tail. Compiled with the target("avx2") attribute so the file
-// builds without -mavx2; only ever called after the runtime CPU check.
-// ---------------------------------------------------------------------------
-
-#if MINTRI_HAVE_AVX2_KERNELS
-
-#define MINTRI_AVX2_FN __attribute__((target("avx2"))) inline
-
-namespace avx2 {
-
-MINTRI_AVX2_FN void UnionInto(uint64_t* dst, const uint64_t* src, size_t n) {
-  size_t w = 0;
-  for (; w + 4 <= n; w += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + w));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + w));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w),
-                        _mm256_or_si256(a, b));
-  }
-  for (; w < n; ++w) dst[w] |= src[w];
-}
-
-MINTRI_AVX2_FN void AssignUnion(uint64_t* dst, const uint64_t* a,
-                                const uint64_t* b, size_t n) {
-  size_t w = 0;
-  for (; w + 4 <= n; w += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w),
-                        _mm256_or_si256(va, vb));
-  }
-  for (; w < n; ++w) dst[w] = a[w] | b[w];
-}
-
-MINTRI_AVX2_FN void IntersectInto(uint64_t* dst, const uint64_t* src,
-                                  size_t n) {
-  size_t w = 0;
-  for (; w + 4 <= n; w += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + w));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + w));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w),
-                        _mm256_and_si256(a, b));
-  }
-  for (; w < n; ++w) dst[w] &= src[w];
-}
-
-MINTRI_AVX2_FN void MinusInto(uint64_t* dst, const uint64_t* src, size_t n) {
-  size_t w = 0;
-  for (; w + 4 <= n; w += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + w));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + w));
-    // andnot(b, a) = ~b & a.
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w),
-                        _mm256_andnot_si256(b, a));
-  }
-  for (; w < n; ++w) dst[w] &= ~src[w];
-}
-
-MINTRI_AVX2_FN void ComplementInto(uint64_t* dst, const uint64_t* src,
-                                   size_t n, uint64_t tail_mask) {
-  const __m256i ones = _mm256_set1_epi64x(-1);
-  size_t w = 0;
-  for (; w + 4 <= n; w += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + w));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w),
-                        _mm256_xor_si256(v, ones));
-  }
-  for (; w < n; ++w) dst[w] = ~src[w];
-  if (n > 0) dst[n - 1] &= tail_mask;
-}
-
-MINTRI_AVX2_FN void FillOnes(uint64_t* dst, size_t n, uint64_t tail_mask) {
-  const __m256i ones = _mm256_set1_epi64x(-1);
-  size_t w = 0;
-  for (; w + 4 <= n; w += 4) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w), ones);
-  }
-  for (; w < n; ++w) dst[w] = ~uint64_t{0};
-  if (n > 0) dst[n - 1] &= tail_mask;
-}
-
-MINTRI_AVX2_FN bool IsZero(const uint64_t* a, size_t n) {
-  size_t w = 0;
-  for (; w + 4 <= n; w += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w));
-    if (!_mm256_testz_si256(v, v)) return false;
-  }
-  for (; w < n; ++w) {
-    if (a[w] != 0) return false;
-  }
-  return true;
-}
-
-MINTRI_AVX2_FN bool Equal(const uint64_t* a, const uint64_t* b, size_t n) {
-  size_t w = 0;
-  for (; w + 4 <= n; w += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w));
-    const __m256i x = _mm256_xor_si256(va, vb);
-    if (!_mm256_testz_si256(x, x)) return false;
-  }
-  for (; w < n; ++w) {
-    if (a[w] != b[w]) return false;
-  }
-  return true;
-}
-
-MINTRI_AVX2_FN bool IsSubset(const uint64_t* a, const uint64_t* b, size_t n) {
-  size_t w = 0;
-  for (; w + 4 <= n; w += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w));
-    // a \ b = andnot(b, a); subset iff it is zero.
-    const __m256i extra = _mm256_andnot_si256(vb, va);
-    if (!_mm256_testz_si256(extra, extra)) return false;
-  }
-  for (; w < n; ++w) {
-    if ((a[w] & ~b[w]) != 0) return false;
-  }
-  return true;
-}
-
-MINTRI_AVX2_FN bool Intersects(const uint64_t* a, const uint64_t* b,
-                               size_t n) {
-  size_t w = 0;
-  for (; w + 4 <= n; w += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w));
-    if (!_mm256_testz_si256(va, vb)) return true;
-  }
-  for (; w < n; ++w) {
-    if ((a[w] & b[w]) != 0) return true;
-  }
-  return false;
-}
-
-// Positional-popcount (Muła): per-byte nibble lookup, horizontally summed
-// with SAD against zero. No per-byte overflow because each iteration is
-// folded into the 64-bit accumulator immediately.
-MINTRI_AVX2_FN int Popcount(const uint64_t* a, size_t n) {
-  const __m256i lookup =
-      _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1,
-                       1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-  const __m256i low_mask = _mm256_set1_epi8(0x0f);
-  __m256i acc = _mm256_setzero_si256();
-  size_t w = 0;
-  for (; w + 4 <= n; w += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w));
-    const __m256i lo = _mm256_and_si256(v, low_mask);
-    const __m256i hi = _mm256_and_si256(_mm256_srli_epi32(v, 4), low_mask);
-    const __m256i cnt = _mm256_add_epi8(_mm256_shuffle_epi8(lookup, lo),
-                                        _mm256_shuffle_epi8(lookup, hi));
-    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(cnt, _mm256_setzero_si256()));
-  }
-  int total = static_cast<int>(
-      _mm256_extract_epi64(acc, 0) + _mm256_extract_epi64(acc, 1) +
-      _mm256_extract_epi64(acc, 2) + _mm256_extract_epi64(acc, 3));
-  for (; w < n; ++w) total += __builtin_popcountll(a[w]);
-  return total;
-}
-
-MINTRI_AVX2_FN int FirstSet(const uint64_t* a, size_t n) {
-  size_t w = 0;
-  for (; w + 4 <= n; w += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w));
-    if (!_mm256_testz_si256(v, v)) break;  // hit inside these 4 words
-  }
-  for (; w < n; ++w) {
-    if (a[w] != 0) {
-      return static_cast<int>(w * 64) + __builtin_ctzll(a[w]);
-    }
-  }
-  return -1;
-}
-
-MINTRI_AVX2_FN uint64_t BfsFusedStep(uint64_t* component, uint64_t* frontier,
-                                     uint64_t* neighborhood, uint64_t* reach,
-                                     const uint64_t* removed, size_t n) {
-  const __m256i zero = _mm256_setzero_si256();
-  __m256i any_acc = zero;
-  size_t w = 0;
-  for (; w + 4 <= n; w += 4) {
-    const __m256i r =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(reach + w));
-    const __m256i nb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(neighborhood + w));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(neighborhood + w),
-                        _mm256_or_si256(nb, r));
-    const __m256i comp =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(component + w));
-    const __m256i rem =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(removed + w));
-    // fresh = r & ~(removed | component).
-    const __m256i fresh =
-        _mm256_andnot_si256(_mm256_or_si256(rem, comp), r);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(component + w),
-                        _mm256_or_si256(comp, fresh));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(frontier + w), fresh);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(reach + w), zero);
-    any_acc = _mm256_or_si256(any_acc, fresh);
-  }
-  uint64_t any = _mm256_testz_si256(any_acc, any_acc) ? 0 : 1;
-  for (; w < n; ++w) {
-    const uint64_t r = reach[w];
-    neighborhood[w] |= r;
-    const uint64_t fresh = r & ~removed[w] & ~component[w];
-    component[w] |= fresh;
-    frontier[w] = fresh;
-    reach[w] = 0;
-    any |= fresh;
-  }
-  return any;
-}
-
-}  // namespace avx2
-
-#undef MINTRI_AVX2_FN
-
-#endif  // MINTRI_HAVE_AVX2_KERNELS
-
-// ---------------------------------------------------------------------------
-// Runtime dispatch.
-// ---------------------------------------------------------------------------
-
-/// Buffers shorter than this dispatch straight to the inlined scalar loop:
-/// below one full vector iteration the AVX2 call cannot win, and graphs
-/// under 193 vertices never leave the scalar path.
-inline constexpr size_t kSimdMinWords = 4;
-
-/// True iff this binary carries the AVX2 kernel path at all.
-inline constexpr bool CompiledWithAvx2Kernels() {
-  return MINTRI_HAVE_AVX2_KERNELS != 0;
-}
-
-/// Raw CPU capability, independent of the MINTRI_FORCE_SCALAR override
-/// (the differential tests use this to decide whether avx2:: is runnable).
-inline bool CpuHasAvx2() {
-#if MINTRI_HAVE_AVX2_KERNELS
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
-namespace detail {
-
-inline bool DetectAvx2() {
-  if (!CpuHasAvx2()) return false;
-  const char* force = std::getenv("MINTRI_FORCE_SCALAR");
-  if (force != nullptr && force[0] != '\0' && force[0] != '0') return false;
-  return true;
-}
-
-// Dynamic-initialized at load time; a kernel called before this TU's
-// static init reads the zero-initialized `false` and safely takes the
-// scalar path.
-inline const bool kUseAvx2 = DetectAvx2();
-
-}  // namespace detail
-
-/// True iff dispatched calls on >= kSimdMinWords words take the AVX2 path.
-inline bool UsingAvx2() { return detail::kUseAvx2; }
-
-/// Human-readable dispatch state, for diagnostics and docs.
-inline const char* ActiveKernelPath() {
-  return detail::kUseAvx2 ? "avx2" : "scalar";
-}
-
-#if MINTRI_HAVE_AVX2_KERNELS
-#define MINTRI_BITSET_DISPATCH(fn, n, ...)                    \
-  do {                                                        \
-    if ((n) >= kSimdMinWords && detail::kUseAvx2) {           \
-      return avx2::fn(__VA_ARGS__);                           \
-    }                                                         \
-    return scalar::fn(__VA_ARGS__);                           \
-  } while (0)
-#else
-#define MINTRI_BITSET_DISPATCH(fn, n, ...) return scalar::fn(__VA_ARGS__)
-#endif
-
-inline void UnionInto(uint64_t* dst, const uint64_t* src, size_t n) {
-  MINTRI_BITSET_DISPATCH(UnionInto, n, dst, src, n);
-}
-inline void AssignUnion(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-                        size_t n) {
-  MINTRI_BITSET_DISPATCH(AssignUnion, n, dst, a, b, n);
-}
-inline void IntersectInto(uint64_t* dst, const uint64_t* src, size_t n) {
-  MINTRI_BITSET_DISPATCH(IntersectInto, n, dst, src, n);
-}
-inline void MinusInto(uint64_t* dst, const uint64_t* src, size_t n) {
-  MINTRI_BITSET_DISPATCH(MinusInto, n, dst, src, n);
-}
-inline void ComplementInto(uint64_t* dst, const uint64_t* src, size_t n,
-                           uint64_t tail_mask) {
-  MINTRI_BITSET_DISPATCH(ComplementInto, n, dst, src, n, tail_mask);
-}
-inline void FillOnes(uint64_t* dst, size_t n, uint64_t tail_mask) {
-  MINTRI_BITSET_DISPATCH(FillOnes, n, dst, n, tail_mask);
-}
-inline bool IsZero(const uint64_t* a, size_t n) {
-  MINTRI_BITSET_DISPATCH(IsZero, n, a, n);
-}
-inline bool Equal(const uint64_t* a, const uint64_t* b, size_t n) {
-  MINTRI_BITSET_DISPATCH(Equal, n, a, b, n);
-}
-inline bool IsSubset(const uint64_t* a, const uint64_t* b, size_t n) {
-  MINTRI_BITSET_DISPATCH(IsSubset, n, a, b, n);
-}
-inline bool Intersects(const uint64_t* a, const uint64_t* b, size_t n) {
-  MINTRI_BITSET_DISPATCH(Intersects, n, a, b, n);
-}
-inline int Popcount(const uint64_t* a, size_t n) {
-  MINTRI_BITSET_DISPATCH(Popcount, n, a, n);
-}
-inline int FirstSet(const uint64_t* a, size_t n) {
-  MINTRI_BITSET_DISPATCH(FirstSet, n, a, n);
-}
-inline uint64_t BfsFusedStep(uint64_t* component, uint64_t* frontier,
-                             uint64_t* neighborhood, uint64_t* reach,
-                             const uint64_t* removed, size_t n) {
-  MINTRI_BITSET_DISPATCH(BfsFusedStep, n, component, frontier, neighborhood,
-                         reach, removed, n);
-}
-
-#undef MINTRI_BITSET_DISPATCH
+/// The kernel implementation in use, for diagnostics (perfbench prints it).
+inline const char* ActiveKernelPath() { return "scalar"; }
 
 }  // namespace bitset
 }  // namespace mintri

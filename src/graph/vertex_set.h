@@ -25,8 +25,7 @@ namespace mintri {
 /// All binary operations require both operands to share the same capacity;
 /// a mismatch aborts with a diagnostic in every build type (not just when
 /// asserts are live — see CheckSameCapacity). The word loops themselves are
-/// delegated to graph/bitset_kernels.h, which dispatches between one shared
-/// scalar implementation and an AVX2 path at runtime.
+/// delegated to graph/bitset_kernels.h, one scalar word-loop layer.
 class VertexSet {
  public:
   /// Empty set over an empty universe.
@@ -218,11 +217,9 @@ class VertexSet {
 
   int capacity_ = 0;
   // Small-buffer word storage: <= 2 words (128 vertices) inline in the
-  // object, heap spill above with cache-line alignment from the SIMD
-  // dispatch threshold up — so small-universe sets (including the arena
-  // entries held by value in VertexSetTable / ShardedVertexSetTable)
-  // never touch the allocator, and every buffer wide enough for the AVX2
-  // kernels starts on a 64-byte boundary.
+  // object, exact-size heap spill above — so small-universe sets
+  // (including the arena entries held by value in VertexSetTable /
+  // ShardedVertexSetTable) never touch the allocator.
   bitset::WordStorage words_;
   mutable uint64_t hash_ = kEmptyHash;
   mutable bool hash_valid_ = true;

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -38,8 +39,7 @@ namespace mintri {
 /// are VertexSets held by value: with the small-buffer word storage, a
 /// <= 128-vertex entry is one self-contained cache-line-sized object — the
 /// full equality check after a filter match touches one line — and wider
-/// entries spill to 64-byte-aligned buffers, so every kernel a caller
-/// later runs over an arena entry starts aligned.
+/// entries spill to one exact-size heap buffer each.
 class VertexSetTable {
  public:
   /// Slot storage is allocated on the first Insert (an empty table costs
@@ -143,17 +143,40 @@ class VertexSetTable {
 
   // One probe unit: a 32-bit hash filter + the arena index, 8 bytes —
   // eight slots per cache line, one line per probe step. The slot array
-  // itself is 64-byte-aligned (it is always past the AlignedAllocator
-  // threshold), so slot 8k is always the first of a line and home slots
-  // land at most seven slots from a boundary. Keeping the filter at 32
-  // bits (rather than the full 64-bit hash) is what halves the slot and
-  // keeps the probe array's cache footprint at the old two-array layout's
-  // level while touching a single array.
+  // itself is 64-byte-aligned (CacheLineAllocator), so slot 8k is always
+  // the first of a line and home slots land at most seven slots from a
+  // boundary. Keeping the filter at 32 bits (rather than the full 64-bit
+  // hash) is what halves the slot and keeps the probe array's cache
+  // footprint at the old two-array layout's level while touching a single
+  // array.
   struct Slot {
     uint32_t hash_lo;
     uint32_t index;
   };
-  using SlotVector = std::vector<Slot, bitset::AlignedAllocator<Slot, 64>>;
+  // Hands out 64-byte-aligned buffers; stateless, all instances equal.
+  template <typename T>
+  struct CacheLineAllocator {
+    using value_type = T;
+    CacheLineAllocator() = default;
+    template <typename U>
+    CacheLineAllocator(const CacheLineAllocator<U>&) {}
+    T* allocate(size_t n) {
+      return static_cast<T*>(
+          ::operator new(n * sizeof(T), std::align_val_t(64)));
+    }
+    void deallocate(T* p, size_t) {
+      ::operator delete(p, std::align_val_t(64));
+    }
+    friend bool operator==(const CacheLineAllocator&,
+                           const CacheLineAllocator&) {
+      return true;
+    }
+    friend bool operator!=(const CacheLineAllocator&,
+                           const CacheLineAllocator&) {
+      return false;
+    }
+  };
+  using SlotVector = std::vector<Slot, CacheLineAllocator<Slot>>;
   static constexpr Slot kEmpty{0, kEmptySlot};
 
   void Grow() {

@@ -64,8 +64,7 @@ class ShardedVertexSetTable {
   // between threads that never actually contend. The arena entries inside
   // each table are VertexSets with small-buffer word storage: <= 128-vertex
   // entries are self-contained objects (no pointer chase on the equality
-  // probe), wider ones spill to buffers that are 64-byte-aligned from the
-  // SIMD dispatch threshold up.
+  // probe), wider ones spill to one exact-size heap buffer each.
   struct alignas(64) Shard {
     mutable std::mutex mutex;
     VertexSetTable table;

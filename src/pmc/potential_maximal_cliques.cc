@@ -43,20 +43,13 @@ class PmcTester {
     if (!no_full_component) return false;
 
     // Cliquish test: every non-adjacent pair within Ω must be covered by
-    // some component neighborhood. cover_[v * stride + w] = bitset over
-    // `seps_` containing v. Rows wide enough for the SIMD path get their
-    // stride padded to a whole cache line so, with the buffer's aligned
-    // base, every row the intersect kernel touches starts aligned; narrow
-    // rows keep stride == words — the bitmap is re-zeroed on every IsPmc
-    // call, so padding 1–2-word rows to 8 words just multiplies that
-    // memset (and the cache footprint) for kernels that never dispatch.
+    // some component neighborhood. cover_[v * words + w] = bitset over
+    // `seps_` containing v.
     const size_t words = (num_seps_ + 63) / 64;
-    const size_t stride =
-        words < bitset::kSimdMinWords ? words : bitset::AlignWords(words);
-    cover_.assign(static_cast<size_t>(n) * stride, 0);
+    cover_.assign(static_cast<size_t>(n) * words, 0);
     for (size_t i = 0; i < num_seps_; ++i) {
       seps_[i].ForEach([&](int v) {
-        cover_[static_cast<size_t>(v) * stride + (i >> 6)] |=
+        cover_[static_cast<size_t>(v) * words + (i >> 6)] |=
             uint64_t{1} << (i & 63);
       });
     }
@@ -66,8 +59,8 @@ class PmcTester {
       for (size_t b = a + 1; b < members_.size(); ++b) {
         const int x = members_[a], y = members_[b];
         if (g.HasEdge(x, y)) continue;
-        const uint64_t* cx = cover_.data() + static_cast<size_t>(x) * stride;
-        const uint64_t* cy = cover_.data() + static_cast<size_t>(y) * stride;
+        const uint64_t* cx = cover_.data() + static_cast<size_t>(x) * words;
+        const uint64_t* cy = cover_.data() + static_cast<size_t>(y) * words;
         if (!bitset::Intersects(cx, cy, words)) return false;
       }
     }
@@ -78,7 +71,7 @@ class PmcTester {
   ComponentScanner scanner_;
   std::vector<VertexSet> seps_;
   size_t num_seps_ = 0;
-  bitset::WordVector cover_;
+  std::vector<uint64_t> cover_;
   std::vector<int> members_;
 };
 

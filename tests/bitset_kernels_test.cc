@@ -1,12 +1,10 @@
-// Differential tests for the bitset kernel layer: the scalar reference
-// implementation is the ground truth, and every other way of running a
-// kernel — the AVX2 path (when this binary carries it and the CPU can run
-// it) and the runtime-dispatched entry points — must be byte-identical to
-// it over a randomized matrix of capacities, including non-multiple-of-64
-// ones, plus adversarial patterns (all-zero, all-ones, equal, subset).
-// VertexSet-level regressions ride along: tail-word hygiene after
-// ResetAll/AssignComplementOf, hash-cache invalidation after each
-// word-parallel kernel, and the cache-line alignment guarantee.
+// Tests for the bitset kernel layer: every kernel must match a per-bit
+// reference loop, written here and independent of the word loops, over a
+// randomized matrix of capacities, including non-multiple-of-64 ones, plus
+// adversarial patterns (all-zero, all-ones, equal, subset). VertexSet-level
+// regressions ride along: tail-word hygiene after ResetAll/
+// AssignComplementOf, hash-cache invalidation after each word-parallel
+// kernel, and VertexSet algebra against the same per-bit reference.
 
 #include "graph/bitset_kernels.h"
 
@@ -43,208 +41,136 @@ Words RandomWords(Rng* rng, int capacity, double density) {
   return w;
 }
 
+// The per-bit reference: bit i of a word buffer, and a buffer of n words
+// built bit by bit from a predicate.
+bool Bit(const Words& w, size_t i) { return (w[i / 64] >> (i % 64)) & 1; }
+
+template <typename BitFn>
+Words FromBits(size_t n, const BitFn& bit) {
+  Words out(n, 0);
+  for (size_t i = 0; i < 64 * n; ++i) {
+    if (bit(i)) out[i / 64] |= uint64_t{1} << (i % 64);
+  }
+  return out;
+}
+
+// True iff bit i survives a kernel's tail mask: every bit of the words
+// before the last, and the masked bits of the last.
+bool KeptByTail(size_t i, size_t n, uint64_t tail_mask) {
+  return i / 64 + 1 < n || ((tail_mask >> (i % 64)) & 1);
+}
+
 // Runs `check(a, b)` over the randomized pattern matrix for one capacity:
 // independent random pairs at several densities, equal pairs, subset
 // pairs, and the all-zero / all-ones extremes.
 template <typename Check>
 void ForEachPair(int capacity, const Check& check) {
   Rng rng(0x5eedu + capacity);
+  const size_t n = WordsFor(capacity);
   for (int rep = 0; rep < kRandomReps; ++rep) {
     const double density = rep % 3 == 0 ? 0.05 : (rep % 3 == 1 ? 0.5 : 0.95);
     Words a = RandomWords(&rng, capacity, density);
     Words b = RandomWords(&rng, capacity, density);
     check(a, b);
     check(a, a);  // equal operands
-    Words sub = a;
-    bitset::scalar::IntersectInto(sub.data(), b.data(), sub.size());
+    const Words sub =
+        FromBits(n, [&](size_t i) { return Bit(a, i) && Bit(b, i); });
     check(sub, a);  // sub ⊆ a
   }
-  const Words zero(WordsFor(capacity), 0);
-  Words ones(WordsFor(capacity), 0);
-  bitset::scalar::FillOnes(ones.data(), ones.size(),
-                           bitset::TailMask(capacity));
+  const Words zero(n, 0);
+  const Words ones = FromBits(n, [&](size_t i) {
+    return static_cast<int>(i) < capacity;
+  });
   check(zero, ones);
   check(ones, zero);
   check(zero, zero);
   check(ones, ones);
 }
 
-// The differential harness: every mutating kernel is run on copies through
-// each path, every predicate/reduction is compared by value.
-struct KernelPaths {
-  const char* name;
-  void (*union_into)(uint64_t*, const uint64_t*, size_t);
-  void (*assign_union)(uint64_t*, const uint64_t*, const uint64_t*, size_t);
-  void (*intersect_into)(uint64_t*, const uint64_t*, size_t);
-  void (*minus_into)(uint64_t*, const uint64_t*, size_t);
-  void (*complement_into)(uint64_t*, const uint64_t*, size_t, uint64_t);
-  void (*fill_ones)(uint64_t*, size_t, uint64_t);
-  bool (*is_zero)(const uint64_t*, size_t);
-  bool (*equal)(const uint64_t*, const uint64_t*, size_t);
-  bool (*is_subset)(const uint64_t*, const uint64_t*, size_t);
-  bool (*intersects)(const uint64_t*, const uint64_t*, size_t);
-  int (*popcount)(const uint64_t*, size_t);
-  int (*first_set)(const uint64_t*, size_t);
-  uint64_t (*bfs_fused_step)(uint64_t*, uint64_t*, uint64_t*, uint64_t*,
-                             const uint64_t*, size_t);
-};
-
-const KernelPaths kScalarPaths = {
-    "scalar",
-    bitset::scalar::UnionInto,
-    bitset::scalar::AssignUnion,
-    bitset::scalar::IntersectInto,
-    bitset::scalar::MinusInto,
-    bitset::scalar::ComplementInto,
-    bitset::scalar::FillOnes,
-    bitset::scalar::IsZero,
-    bitset::scalar::Equal,
-    bitset::scalar::IsSubset,
-    bitset::scalar::Intersects,
-    bitset::scalar::Popcount,
-    bitset::scalar::FirstSet,
-    bitset::scalar::BfsFusedStep,
-};
-
-const KernelPaths kDispatchedPaths = {
-    "dispatched",
-    bitset::UnionInto,
-    bitset::AssignUnion,
-    bitset::IntersectInto,
-    bitset::MinusInto,
-    bitset::ComplementInto,
-    bitset::FillOnes,
-    bitset::IsZero,
-    bitset::Equal,
-    bitset::IsSubset,
-    bitset::Intersects,
-    bitset::Popcount,
-    bitset::FirstSet,
-    bitset::BfsFusedStep,
-};
-
-#if MINTRI_HAVE_AVX2_KERNELS
-const KernelPaths kAvx2Paths = {
-    "avx2",
-    bitset::avx2::UnionInto,
-    bitset::avx2::AssignUnion,
-    bitset::avx2::IntersectInto,
-    bitset::avx2::MinusInto,
-    bitset::avx2::ComplementInto,
-    bitset::avx2::FillOnes,
-    bitset::avx2::IsZero,
-    bitset::avx2::Equal,
-    bitset::avx2::IsSubset,
-    bitset::avx2::Intersects,
-    bitset::avx2::Popcount,
-    bitset::avx2::FirstSet,
-    bitset::avx2::BfsFusedStep,
-};
-#endif  // MINTRI_HAVE_AVX2_KERNELS
-
-// Compares `paths` against the scalar reference over the full matrix.
-void RunDifferential(const KernelPaths& paths) {
+TEST(BitsetKernelsTest, KernelsMatchPerBitOracle) {
   for (int capacity : kCapacities) {
-    SCOPED_TRACE(testing::Message()
-                 << paths.name << " vs scalar, capacity " << capacity);
+    SCOPED_TRACE(testing::Message() << "capacity " << capacity);
     const size_t n = WordsFor(capacity);
+    const size_t bits = 64 * n;
     const uint64_t tail = bitset::TailMask(capacity);
     ForEachPair(capacity, [&](const Words& a, const Words& b) {
+      const auto either = [&](size_t i) { return Bit(a, i) || Bit(b, i); };
+      const auto both = [&](size_t i) { return Bit(a, i) && Bit(b, i); };
+      const auto a_only = [&](size_t i) { return Bit(a, i) && !Bit(b, i); };
       {
-        Words got = a, want = a;
-        paths.union_into(got.data(), b.data(), n);
-        kScalarPaths.union_into(want.data(), b.data(), n);
-        EXPECT_EQ(got, want);
+        Words got = a;
+        bitset::UnionInto(got.data(), b.data(), n);
+        EXPECT_EQ(got, FromBits(n, either));
       }
       {
-        Words got(n, 0xdeadbeefu), want(n, 0xdeadbeefu);
-        paths.assign_union(got.data(), a.data(), b.data(), n);
-        kScalarPaths.assign_union(want.data(), a.data(), b.data(), n);
-        EXPECT_EQ(got, want);
+        Words got(n, 0xdeadbeefu);
+        bitset::AssignUnion(got.data(), a.data(), b.data(), n);
+        EXPECT_EQ(got, FromBits(n, either));
       }
       {
-        Words got = a, want = a;
-        paths.intersect_into(got.data(), b.data(), n);
-        kScalarPaths.intersect_into(want.data(), b.data(), n);
-        EXPECT_EQ(got, want);
+        Words got = a;
+        bitset::IntersectInto(got.data(), b.data(), n);
+        EXPECT_EQ(got, FromBits(n, both));
       }
       {
-        Words got = a, want = a;
-        paths.minus_into(got.data(), b.data(), n);
-        kScalarPaths.minus_into(want.data(), b.data(), n);
-        EXPECT_EQ(got, want);
+        Words got = a;
+        bitset::MinusInto(got.data(), b.data(), n);
+        EXPECT_EQ(got, FromBits(n, a_only));
       }
       {
-        Words got(n, 0), want(n, 0);
-        paths.complement_into(got.data(), a.data(), n, tail);
-        kScalarPaths.complement_into(want.data(), a.data(), n, tail);
-        EXPECT_EQ(got, want);
         // Tail hygiene: bits above the capacity must come out zero.
-        EXPECT_EQ(got.back() & ~tail, 0u);
+        Words got(n, 0);
+        bitset::ComplementInto(got.data(), a.data(), n, tail);
+        EXPECT_EQ(got, FromBits(n, [&](size_t i) {
+                    return !Bit(a, i) && KeptByTail(i, n, tail);
+                  }));
       }
       {
-        Words got(n, 0), want(n, 0);
-        paths.fill_ones(got.data(), n, tail);
-        kScalarPaths.fill_ones(want.data(), n, tail);
-        EXPECT_EQ(got, want);
-        EXPECT_EQ(got.back() & ~tail, 0u);
+        Words got(n, 0);
+        bitset::FillOnes(got.data(), n, tail);
+        EXPECT_EQ(got, FromBits(n, [&](size_t i) {
+                    return KeptByTail(i, n, tail);
+                  }));
       }
-      EXPECT_EQ(paths.is_zero(a.data(), n), kScalarPaths.is_zero(a.data(), n));
-      EXPECT_EQ(paths.equal(a.data(), b.data(), n),
-                kScalarPaths.equal(a.data(), b.data(), n));
-      EXPECT_EQ(paths.is_subset(a.data(), b.data(), n),
-                kScalarPaths.is_subset(a.data(), b.data(), n));
-      EXPECT_EQ(paths.intersects(a.data(), b.data(), n),
-                kScalarPaths.intersects(a.data(), b.data(), n));
-      EXPECT_EQ(paths.popcount(a.data(), n),
-                kScalarPaths.popcount(a.data(), n));
-      EXPECT_EQ(paths.first_set(a.data(), n),
-                kScalarPaths.first_set(a.data(), n));
+      bool any_a = false, equal = true, subset = true, meet = false;
+      int count = 0, first = -1;
+      for (size_t i = 0; i < bits; ++i) {
+        any_a |= Bit(a, i);
+        equal &= Bit(a, i) == Bit(b, i);
+        subset &= !a_only(i);
+        meet |= both(i);
+        count += Bit(a, i);
+        if (first < 0 && Bit(a, i)) first = static_cast<int>(i);
+      }
+      EXPECT_EQ(bitset::IsZero(a.data(), n), !any_a);
+      EXPECT_EQ(bitset::Equal(a.data(), b.data(), n), equal);
+      EXPECT_EQ(bitset::IsSubset(a.data(), b.data(), n), subset);
+      EXPECT_EQ(bitset::Intersects(a.data(), b.data(), n), meet);
+      EXPECT_EQ(bitset::Popcount(a.data(), n), count);
+      EXPECT_EQ(bitset::FirstSet(a.data(), n), first);
       {
         // BFS step: a=reach, b=removed, component seeded with a ∩ b so the
-        // step sees a mix of already-visited, removed, and fresh bits.
-        Words comp = a;
-        kScalarPaths.intersect_into(comp.data(), b.data(), n);
-        Words comp_g = comp, comp_w = comp;
-        Words front_g(n, 0), front_w(n, 0);
-        Words nb_g = b, nb_w = b;
-        Words reach_g = a, reach_w = a;
-        const uint64_t any_g =
-            paths.bfs_fused_step(comp_g.data(), front_g.data(), nb_g.data(),
-                                 reach_g.data(), b.data(), n);
-        const uint64_t any_w = kScalarPaths.bfs_fused_step(
-            comp_w.data(), front_w.data(), nb_w.data(), reach_w.data(),
-            b.data(), n);
-        EXPECT_EQ(any_g != 0, any_w != 0);
-        EXPECT_EQ(comp_g, comp_w);
-        EXPECT_EQ(front_g, front_w);
-        EXPECT_EQ(nb_g, nb_w);
-        EXPECT_EQ(reach_g, reach_w);
+        // step sees a mix of already-visited, removed, and fresh bits;
+        // the neighborhood accumulator starts as b.
+        const Words comp = FromBits(n, both);
+        const auto fresh = [&](size_t i) {
+          return Bit(a, i) && !Bit(b, i) && !Bit(comp, i);
+        };
+        Words comp_got = comp, front_got(n, 0), nb_got = b, reach_got = a;
+        const uint64_t any =
+            bitset::BfsFusedStep(comp_got.data(), front_got.data(),
+                                 nb_got.data(), reach_got.data(), b.data(), n);
+        bool any_fresh = false;
+        for (size_t i = 0; i < bits; ++i) any_fresh |= fresh(i);
+        EXPECT_EQ(any != 0, any_fresh);
+        EXPECT_EQ(comp_got, FromBits(n, [&](size_t i) {
+                    return Bit(comp, i) || fresh(i);
+                  }));
+        EXPECT_EQ(front_got, FromBits(n, fresh));
+        EXPECT_EQ(nb_got, FromBits(n, either));
+        EXPECT_EQ(reach_got, Words(n, 0));
       }
     });
-  }
-}
-
-TEST(BitsetKernelsTest, DispatchedMatchesScalarEverywhere) {
-  RunDifferential(kDispatchedPaths);
-}
-
-#if MINTRI_HAVE_AVX2_KERNELS
-TEST(BitsetKernelsTest, Avx2MatchesScalarEverywhere) {
-  if (!bitset::CpuHasAvx2()) {
-    GTEST_SKIP() << "CPU lacks AVX2; the avx2:: path cannot execute here";
-  }
-  RunDifferential(kAvx2Paths);
-}
-#endif  // MINTRI_HAVE_AVX2_KERNELS
-
-TEST(BitsetKernelsTest, DispatchReportsAConsistentPath) {
-  if (bitset::UsingAvx2()) {
-    EXPECT_TRUE(bitset::CompiledWithAvx2Kernels());
-    EXPECT_TRUE(bitset::CpuHasAvx2());
-    EXPECT_STREQ(bitset::ActiveKernelPath(), "avx2");
-  } else {
-    EXPECT_STREQ(bitset::ActiveKernelPath(), "scalar");
   }
 }
 
@@ -256,31 +182,7 @@ TEST(BitsetKernelsTest, TailMask) {
   EXPECT_EQ(bitset::TailMask(65), uint64_t{1});
 }
 
-TEST(BitsetKernelsTest, AlignWordsRoundsToCacheLines) {
-  EXPECT_EQ(bitset::AlignWords(0), 0u);
-  EXPECT_EQ(bitset::AlignWords(1), 8u);
-  EXPECT_EQ(bitset::AlignWords(8), 8u);
-  EXPECT_EQ(bitset::AlignWords(9), 16u);
-}
-
 // --- VertexSet-level regressions over the kernel layer -------------------
-
-TEST(BitsetKernelsTest, WordStorageIsCacheLineAlignedFromSimdThresholdUp) {
-  // The allocator only promises 64-byte alignment for buffers wide enough
-  // to reach the SIMD path (>= kSimdMinWords words); narrower buffers
-  // take the default allocator's fast path on purpose.
-  for (int capacity : kCapacities) {
-    VertexSet s(capacity);
-    if (s.word_count() < bitset::kSimdMinWords) continue;
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(s.word_data()) % 64, 0u)
-        << "capacity " << capacity;
-  }
-  bitset::WordVector packed(123, 0);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(packed.data()) % 64, 0u);
-  using Alloc = bitset::AlignedAllocator<uint64_t, 64>;
-  EXPECT_FALSE(Alloc::WantsAlignment(3));
-  EXPECT_TRUE(Alloc::WantsAlignment(4));
-}
 
 TEST(BitsetKernelsTest, ResetAllAndComplementKeepTailBitsZero) {
   for (int capacity : kCapacities) {
@@ -355,9 +257,8 @@ TEST(BitsetKernelsTest, HashCacheSurvivesEveryWordParallelKernel) {
   }
 }
 
-// VertexSet algebra must agree with the scalar kernels bit for bit, no
-// matter which path dispatch takes underneath.
-TEST(BitsetKernelsTest, VertexSetAlgebraMatchesScalarKernels) {
+// VertexSet algebra must agree with the per-bit reference bit for bit.
+TEST(BitsetKernelsTest, VertexSetAlgebraMatchesPerBitOracle) {
   for (int capacity : kCapacities) {
     SCOPED_TRACE(testing::Message() << "capacity " << capacity);
     Rng rng(0xf00du + capacity);
@@ -368,28 +269,35 @@ TEST(BitsetKernelsTest, VertexSetAlgebraMatchesScalarKernels) {
         if (rng.NextBool(0.4)) b.Insert(v);
       }
       const size_t n = a.word_count();
+      const Words wa(a.word_data(), a.word_data() + n);
+      const Words wb(b.word_data(), b.word_data() + n);
+      const auto words_of = [&](const VertexSet& s) {
+        return Words(s.word_data(), s.word_data() + n);
+      };
 
-      Words want(a.word_data(), a.word_data() + n);
-      bitset::scalar::UnionInto(want.data(), b.word_data(), n);
-      VertexSet u = a.Union(b);
-      EXPECT_TRUE(bitset::scalar::Equal(u.word_data(), want.data(), n));
+      EXPECT_EQ(words_of(a.Union(b)), FromBits(n, [&](size_t i) {
+                  return Bit(wa, i) || Bit(wb, i);
+                }));
+      EXPECT_EQ(words_of(a.Intersect(b)), FromBits(n, [&](size_t i) {
+                  return Bit(wa, i) && Bit(wb, i);
+                }));
+      EXPECT_EQ(words_of(a.Minus(b)), FromBits(n, [&](size_t i) {
+                  return Bit(wa, i) && !Bit(wb, i);
+                }));
 
-      want.assign(a.word_data(), a.word_data() + n);
-      bitset::scalar::IntersectInto(want.data(), b.word_data(), n);
-      VertexSet i = a.Intersect(b);
-      EXPECT_TRUE(bitset::scalar::Equal(i.word_data(), want.data(), n));
-
-      want.assign(a.word_data(), a.word_data() + n);
-      bitset::scalar::MinusInto(want.data(), b.word_data(), n);
-      VertexSet m = a.Minus(b);
-      EXPECT_TRUE(bitset::scalar::Equal(m.word_data(), want.data(), n));
-
-      EXPECT_EQ(a.IsSubsetOf(b), bitset::scalar::IsSubset(
-                                     a.word_data(), b.word_data(), n));
-      EXPECT_EQ(a.Intersects(b), bitset::scalar::Intersects(
-                                     a.word_data(), b.word_data(), n));
-      EXPECT_EQ(a.Count(), bitset::scalar::Popcount(a.word_data(), n));
-      EXPECT_EQ(a.First(), bitset::scalar::FirstSet(a.word_data(), n));
+      bool subset = true, meet = false;
+      int count = 0, first = -1;
+      for (int v = 0; v < capacity; ++v) {
+        const bool in_a = Bit(wa, v), in_b = Bit(wb, v);
+        subset &= !in_a || in_b;
+        meet |= in_a && in_b;
+        count += in_a;
+        if (first < 0 && in_a) first = v;
+      }
+      EXPECT_EQ(a.IsSubsetOf(b), subset);
+      EXPECT_EQ(a.Intersects(b), meet);
+      EXPECT_EQ(a.Count(), count);
+      EXPECT_EQ(a.First(), first);
     }
   }
 }

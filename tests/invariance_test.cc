@@ -3,18 +3,25 @@
 // MinimalSeparatorEnumerator, the scratch-reusing ComponentScanner): the
 // optimized enumerators must produce exactly the sets the exponential
 // reference implementations produce, and the paper's Figure-1 counts must
-// stay pinned.
+// stay pinned. A metamorphic test checks that the ranked stream does not
+// depend on vertex labels.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <numeric>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "cost/standard_costs.h"
 #include "enumeration/tiered_enum.h"
 #include "pmc/potential_maximal_cliques.h"
 #include "separators/minimal_separators.h"
 #include "test_util.h"
+#include "util/rng.h"
 #include "util/timer.h"
 #include "workloads/named_graphs.h"
 #include "workloads/random_graphs.h"
@@ -157,6 +164,138 @@ TEST(OptimizationInvarianceTest, BoundedEnumerationStillExact) {
       }
       EXPECT_EQ(bounded, Sorted(std::move(expected)))
           << "seed=" << seed << " bound=" << bound;
+    }
+  }
+}
+
+// --- Vertex-relabeling metamorphic test ----------------------------------
+
+// The first `k` results of a ranked stream: their κ values, and the fill
+// sets of every complete κ level, mapped through `to_original` and sorted.
+// The last level is dropped when the stream reached k results, since it
+// may have been cut.
+struct RankedPrefix {
+  std::vector<CostValue> costs;
+  std::map<CostValue, std::vector<testutil::FillSet>> levels;
+};
+
+RankedPrefix RankPrefix(const Graph& g, const std::vector<int>& to_original,
+                        bool fill_cost, TierOptions::Mode mode, int threads,
+                        size_t k) {
+  WidthCost width;
+  FillInCost fill;
+  ContextOptions options;
+  options.num_threads = threads;
+  TierOptions tier;
+  tier.mode = mode;
+  tier.decomposable_cost = true;  // width and fill both are
+  TieredEnumerator e(g, fill_cost ? static_cast<const BagCost&>(fill) : width,
+                     fill_cost ? CostComposition::kSum : CostComposition::kMax,
+                     options, {}, tier);
+  EXPECT_TRUE(e.init_ok());
+  EXPECT_NE(e.tier(), SolveTier::kHeuristic);
+  RankedPrefix out;
+  while (out.costs.size() < k) {
+    std::optional<TieredResult> r = e.Next();
+    if (!r.has_value()) break;
+    const Triangulation& t = r->triangulation;
+    out.costs.push_back(t.cost);
+    testutil::FillSet fill_set;
+    for (const auto& [u, v] : testutil::FillKey(g, t.filled)) {
+      const int a = to_original[u], b = to_original[v];
+      fill_set.emplace_back(std::min(a, b), std::max(a, b));
+    }
+    std::sort(fill_set.begin(), fill_set.end());
+    out.levels[t.cost].push_back(std::move(fill_set));
+  }
+  if (out.costs.size() == k) out.levels.erase(out.costs.back());
+  for (auto& [cost, fill_sets] : out.levels) {
+    std::sort(fill_sets.begin(), fill_sets.end());
+  }
+  return out;
+}
+
+// A uniformly random relabeling: vertex v of g is vertex perm[v] of the
+// copy.
+std::vector<int> RandomPermutation(int n, uint64_t seed) {
+  std::vector<int> perm(n);
+  std::iota(perm.begin(), perm.end(), 0);
+  Rng rng(seed);
+  for (int i = n - 1; i > 0; --i) std::swap(perm[i], perm[rng.NextInt(0, i)]);
+  return perm;
+}
+
+Graph Relabel(const Graph& g, const std::vector<int>& perm) {
+  Graph out(g.NumVertices());
+  for (const auto& [u, v] : g.Edges()) out.AddEdge(perm[u], perm[v]);
+  return out;
+}
+
+// A random tree with the Figure-1 graph hanging off one of its vertices:
+// 256 vertices, so every whole-graph set is 4 words wide. Tier 0 strips
+// the tree and leaves one atom; exact mode ranks the whole component. Its
+// two minimal triangulations are those of the Figure-1 graph. (A larger
+// attachment would make exact mode, which must rank around the tree's
+// ~250 separators, too slow for the Debug sanitizer build.)
+Graph TreeWithPaperExample() {
+  const int tree_n = 250;
+  Graph tree = workloads::RandomTree(tree_n, 7700);
+  Graph example = testutil::PaperExampleGraph();
+  Graph g(tree_n + example.NumVertices());
+  for (const auto& [u, v] : tree.Edges()) g.AddEdge(u, v);
+  for (const auto& [u, v] : example.Edges()) {
+    g.AddEdge(tree_n + u, tree_n + v);
+  }
+  g.AddEdge(17, tree_n + 3);
+  return g;
+}
+
+// ROADMAP item 7: the κ sequence and the per-κ fill-set classes must
+// survive a random permutation of the vertices, under width and fill, in
+// exact and auto mode. The relabeled copy runs at 1 and 4 threads against
+// the original at 1 thread.
+TEST(OptimizationInvarianceTest, RankingSurvivesVertexRelabeling) {
+  Graph disconnected(11);
+  for (const auto& [u, v] : workloads::Cycle(5).Edges()) {
+    disconnected.AddEdge(u, v);
+  }
+  for (const auto& [u, v] : workloads::ConnectedErdosRenyi(6, 0.5, 7800)
+                                .Edges()) {
+    disconnected.AddEdge(5 + u, 5 + v);
+  }
+  const std::vector<std::pair<std::string, Graph>> inputs = {
+      {"er12", workloads::ConnectedErdosRenyi(12, 0.3, 7900)},
+      {"grid3x3", workloads::Grid(3, 3)},
+      {"disconnected", disconnected},
+      {"tree+figure1", TreeWithPaperExample()},
+  };
+  constexpr size_t kPrefix = 200;
+  for (const auto& [name, g] : inputs) {
+    const int n = g.NumVertices();
+    std::vector<int> identity(n);
+    std::iota(identity.begin(), identity.end(), 0);
+    const std::vector<int> perm = RandomPermutation(n, 8000 + n);
+    std::vector<int> inverse(n);
+    for (int v = 0; v < n; ++v) inverse[perm[v]] = v;
+    const Graph relabeled = Relabel(g, perm);
+    for (bool fill_cost : {false, true}) {
+      for (TierOptions::Mode mode :
+           {TierOptions::Mode::kExact, TierOptions::Mode::kAuto}) {
+        SCOPED_TRACE(testing::Message()
+                     << name << (fill_cost ? " fill" : " width")
+                     << (mode == TierOptions::Mode::kExact ? " exact"
+                                                           : " auto"));
+        const RankedPrefix want =
+            RankPrefix(g, identity, fill_cost, mode, 1, kPrefix);
+        EXPECT_FALSE(want.levels.empty());
+        for (int threads : {1, 4}) {
+          SCOPED_TRACE(testing::Message() << "threads=" << threads);
+          const RankedPrefix got = RankPrefix(relabeled, inverse, fill_cost,
+                                              mode, threads, kPrefix);
+          EXPECT_EQ(got.costs, want.costs);
+          EXPECT_EQ(got.levels, want.levels);
+        }
+      }
     }
   }
 }

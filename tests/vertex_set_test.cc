@@ -211,15 +211,12 @@ TEST(VertexSetDeathTest, MixedCapacityOperationsAbortInEveryBuild) {
 //
 // VertexSet's words live inline in the object up to 128 vertices (2 words)
 // and spill to a heap buffer above. The tests below pin (1) where the
-// boundary sits, (2) that values, hashes, and semantics are identical on
-// both sides of it — including for objects moved/copied across it — and
-// (3) that spilled buffers keep the alignment contract the SIMD kernels
-// dispatch on.
+// boundary sits and (2) that values, hashes, and semantics are identical on
+// both sides of it — including for objects moved/copied across it.
 // ---------------------------------------------------------------------------
 
 // The capacities the differential tests sweep: both sides of each word
-// boundary (63/64/65, 127/128/129) plus one deep-heap capacity whose word
-// count is past the SIMD dispatch threshold.
+// boundary (63/64/65, 127/128/129) plus one deep-heap capacity of 10 words.
 const int kSpillCapacities[] = {63, 64, 65, 127, 128, 129, 640};
 
 TEST(VertexSetSpillTest, InlineExactlyUpTo128Vertices) {
@@ -339,23 +336,6 @@ TEST(VertexSetSpillTest, HashCacheSurvivesTheSpill) {
   // Word-parallel mutation after the spill invalidates and recomputes.
   s.UnionWith(VertexSet::Of(640, {200, 400}));
   EXPECT_EQ(s.Hash(), VertexSet::Of(640, {5, 200, 400}).Hash());
-}
-
-TEST(VertexSetSpillTest, SpilledBuffersKeepTheSimdAlignmentContract) {
-  // The alignment-from-threshold policy must hold for heap spills: every
-  // buffer of at least kSimdMinWords words starts on a 64-byte boundary
-  // (the AVX2 kernels dispatch on exactly these), including buffers that
-  // traveled through copies and moves.
-  for (int cap : {256, 320, 640, 1024}) {
-    SCOPED_TRACE(cap);
-    VertexSet s = VertexSet::All(cap);
-    ASSERT_GE(s.word_count(), bitset::kSimdMinWords);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(s.word_data()) % 64, 0u);
-    VertexSet copy = s;
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(copy.word_data()) % 64, 0u);
-    VertexSet moved = std::move(copy);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(moved.word_data()) % 64, 0u);
-  }
 }
 
 TEST(VertexSetSpillDeathTest, MixedCapacityAcrossTheBoundaryStillAborts) {
